@@ -3,6 +3,7 @@
 #include <benchmark/benchmark.h>
 
 #include "core/mdrc.h"
+#include "data/column_blocks.h"
 #include "data/generators.h"
 
 namespace {
@@ -54,6 +55,28 @@ void BM_MdrcLeafReuseAblation(benchmark::State& state) {
   state.counters["output_size"] = static_cast<double>(size);
 }
 BENCHMARK(BM_MdrcLeafReuseAblation)->Arg(0)->Arg(1);
+
+void BM_MdrcThreads(benchmark::State& state) {
+  // Per-depth corner evaluation across worker counts on BN-like data
+  // (n = 20000, d = 5) over its columnar mirror: range(0) threads,
+  // range(1) k. The representative is identical at every thread count.
+  const Dataset ds = rrr::data::GenerateBnLike(20000, 1).ProjectPrefix(5);
+  const rrr::data::ColumnBlocks blocks =
+      rrr::data::ColumnBlocks::Build(ds, 1).value();
+  rrr::core::MdrcOptions opts;
+  opts.threads = static_cast<size_t>(state.range(0));
+  const size_t k = static_cast<size_t>(state.range(1));
+  MdrcStats stats;
+  for (auto _ : state) {
+    auto rep = SolveMdrc(ds, k, opts, &stats, {}, nullptr, nullptr, &blocks);
+    benchmark::DoNotOptimize(rep);
+  }
+  state.counters["nodes"] = static_cast<double>(stats.nodes);
+  state.counters["corner_evals"] = static_cast<double>(stats.corner_evals);
+}
+BENCHMARK(BM_MdrcThreads)
+    ->ArgsProduct({{1, 2, 4}, {20, 1186}})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_MdrcVaryK(benchmark::State& state) {
   const Dataset ds = GenerateDotLike(10000, 3).ProjectPrefix(3);

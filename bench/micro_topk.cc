@@ -2,9 +2,13 @@
 // queries, and the effect of k.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "common/random.h"
+#include "data/column_blocks.h"
 #include "data/generators.h"
 #include "topk/rank.h"
+#include "topk/score_kernel.h"
 #include "topk/scoring.h"
 #include "topk/threshold_algorithm.h"
 #include "topk/topk.h"
@@ -31,6 +35,31 @@ BENCHMARK(BM_TopK)
     ->Args({10000, 10})
     ->Args({10000, 100})
     ->Args({100000, 1000});
+
+void BM_TopKScanSweep(benchmark::State& state) {
+  // The kernel's buffered selection across k on BN-like data (n = 20000,
+  // d = 5 — the MDRC corner workload): range(1) == 0 times TopKScan
+  // (best-first), 1 times TopKSetScan (ascending ids, no final sort).
+  // Iterations cycle through 200 random functions; time is per scan.
+  const size_t k = static_cast<size_t>(state.range(0));
+  const bool as_set = state.range(1) == 1;
+  const Dataset ds = rrr::data::GenerateBnLike(20000, 1).ProjectPrefix(5);
+  const rrr::data::ColumnBlocks blocks =
+      rrr::data::ColumnBlocks::Build(ds, 1).value();
+  rrr::Rng rng(7);
+  std::vector<LinearFunction> funcs;
+  for (int i = 0; i < 200; ++i) funcs.emplace_back(rng.UnitWeightVector(5));
+  size_t next = 0;
+  for (auto _ : state) {
+    const LinearFunction& f = funcs[next++ % funcs.size()];
+    benchmark::DoNotOptimize(as_set ? rrr::topk::TopKSetScan(blocks, f, k)
+                                    : rrr::topk::TopKScan(blocks, f, k));
+  }
+  state.SetLabel(as_set ? "TopKSetScan" : "TopKScan");
+}
+BENCHMARK(BM_TopKScanSweep)
+    ->ArgsProduct({{20, 200, 1186, 5000, 10000}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ThresholdAlgorithmQuery(benchmark::State& state) {
   // Ablation vs BM_TopK: amortized TA query cost after a one-time index

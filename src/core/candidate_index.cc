@@ -229,12 +229,15 @@ Result<CandidateIndex::Outcome> CandidateIndex::Create(
         positions[s] = static_cast<size_t>(
             rng.UniformInt(0, static_cast<int64_t>(n) - 1));
       }
-      size_t predicted_band = 0;
-      for (size_t pos : positions) {
-        const uint32_t c = CountForRow(dataset, order, pos, prefix,
-                                       static_cast<uint32_t>(kk), nullptr);
-        if (c < kk) ++predicted_band;
-      }
+      // Both stages are sums of independent per-sample results, folded in
+      // sample order, so the decision is the same for every thread count.
+      std::vector<size_t> per_sample(sample);
+      ParallelFor(threads, sample, [&](size_t s) {
+        per_sample[s] = CountForRow(dataset, order, positions[s], prefix,
+                                    static_cast<uint32_t>(kk), nullptr) < kk;
+      });
+      const size_t predicted_band =
+          std::accumulate(per_sample.begin(), per_sample.end(), size_t{0});
       const double fraction =
           static_cast<double>(predicted_band) / static_cast<double>(sample);
       if (fraction > options.precheck_max_band_fraction) {
@@ -243,11 +246,13 @@ Result<CandidateIndex::Outcome> CandidateIndex::Create(
       }
       RRR_RETURN_IF_ERROR(ctx.CheckPreempted());
       if (budget != 0) {
-        size_t sampled_pairs = 0;
-        for (size_t pos : positions) {
-          CountForRow(dataset, order, pos, n, static_cast<uint32_t>(kk),
-                      &sampled_pairs);
-        }
+        ParallelFor(threads, sample, [&](size_t s) {
+          per_sample[s] = 0;
+          CountForRow(dataset, order, positions[s], n,
+                      static_cast<uint32_t>(kk), &per_sample[s]);
+        });
+        const size_t sampled_pairs =
+            std::accumulate(per_sample.begin(), per_sample.end(), size_t{0});
         const double projected = static_cast<double>(sampled_pairs) /
                                  static_cast<double>(sample) *
                                  static_cast<double>(n);

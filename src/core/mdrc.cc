@@ -1,7 +1,10 @@
 #include "core/mdrc.h"
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -30,36 +33,38 @@ struct Node {
   std::string path;
 };
 
-/// Intersection of the (sorted) top-k sets of all 2^dims corners of `box`.
-/// `first_corner_front` receives the smallest id of the mask-0 corner's
-/// top-k (the all-lows corner) — exactly what the depth-cap fallback used
-/// to re-request from the cache just to take `.front()`.
-std::vector<int32_t> CornerIntersection(const Node& node, size_t k,
-                                        CornerTopKCache* cache,
-                                        CornerTopKCache::Counters* counters,
-                                        const CandidateIndex* candidates,
-                                        const data::ColumnBlocks* blocks,
-                                        int32_t* first_corner_front) {
-  const size_t dims = node.box.size();
-  const size_t corners = size_t{1} << dims;
-  std::vector<int32_t> common;
-  geometry::Vec angles(dims);
-  for (size_t mask = 0; mask < corners; ++mask) {
-    for (size_t j = 0; j < dims; ++j) {
-      angles[j] = (mask >> j & 1) ? node.box[j].second : node.box[j].first;
-    }
-    const std::vector<int32_t> corner_topk =
-        cache->TopKAt(k, angles, counters, candidates, blocks);
-    if (mask == 0) {
-      *first_corner_front = corner_topk.front();
-      common = corner_topk;
-    } else {
-      std::vector<int32_t> next;
-      std::set_intersection(common.begin(), common.end(), corner_topk.begin(),
-                            corner_topk.end(), std::back_inserter(next));
-      common = std::move(next);
-    }
-    if (common.empty()) break;
+/// FNV-1a of `seed` extended by the raw bytes of the corner coordinates.
+/// Corner coordinates are dyadic fractions of pi/2 propagated top-down, so
+/// equal corners are bit-identical doubles and byte hashing is sound.
+size_t HashAngles(uint64_t seed, const geometry::Vec& angles) {
+  for (double x : angles) seed = FnvMix(seed, x);
+  return static_cast<size_t>(seed);
+}
+
+/// Exact-corner hash for a depth's distinct-corner table.
+struct CornerHash {
+  size_t operator()(const geometry::Vec& angles) const {
+    return HashAngles(kFnvOffsetBasis, angles);
+  }
+};
+
+/// Intersection of the (sorted) top-k sets of a node's 2^dims corners, in
+/// corner-mask order with an early exit once empty. `first_corner_front`
+/// receives the smallest id of the mask-0 (all-lows) corner's top-k — the
+/// depth-cap fallback item.
+std::vector<int32_t> CornerIntersection(
+    const std::vector<std::shared_ptr<const std::vector<int32_t>>>& table,
+    const size_t* corner_slots, size_t corners, int32_t* first_corner_front) {
+  const std::vector<int32_t>& first = *table[corner_slots[0]];
+  *first_corner_front = first.front();
+  std::vector<int32_t> common = first;
+  std::vector<int32_t> next;
+  for (size_t mask = 1; mask < corners && !common.empty(); ++mask) {
+    const std::vector<int32_t>& corner = *table[corner_slots[mask]];
+    next.clear();
+    std::set_intersection(common.begin(), common.end(), corner.begin(),
+                          corner.end(), std::back_inserter(next));
+    common.swap(next);
   }
   return common;
 }
@@ -76,21 +81,16 @@ struct LeafRecord {
 
 /// Per-node outcome of one expansion round.
 struct NodeOutcome {
-  enum Kind : uint8_t { kInternal, kCommonLeaf, kDepthCapLeaf, kSkipped };
-  Kind kind = kSkipped;
+  enum Kind : uint8_t { kInternal, kCommonLeaf, kDepthCapLeaf };
+  Kind kind = kInternal;
   std::vector<int32_t> common;
   int32_t fallback_item = -1;
 };
 
 }  // namespace
 
-// FNV-1a over k plus the raw bytes of the corner coordinates. Corner
-// coordinates are dyadic fractions of pi/2 propagated top-down, so equal
-// corners are bit-identical doubles and byte hashing is sound.
 size_t CornerTopKCache::KeyHash::operator()(const Key& key) const {
-  uint64_t h = FnvMix(kFnvOffsetBasis, key.k);
-  for (double x : key.angles) h = FnvMix(h, x);
-  return static_cast<size_t>(h);
+  return HashAngles(FnvMix(kFnvOffsetBasis, key.k), key.angles);
 }
 
 CornerTopKCache::CornerTopKCache(const data::Dataset& dataset,
@@ -98,11 +98,9 @@ CornerTopKCache::CornerTopKCache(const data::Dataset& dataset,
     : dataset_(dataset),
       per_shard_cap_(std::max<size_t>(1, max_entries / kShards)) {}
 
-std::vector<int32_t> CornerTopKCache::TopKAt(size_t k,
-                                             const geometry::Vec& angles,
-                                             Counters* counters,
-                                             const CandidateIndex* candidates,
-                                             const data::ColumnBlocks* blocks) {
+std::shared_ptr<const std::vector<int32_t>> CornerTopKCache::TopKAt(
+    size_t k, const geometry::Vec& angles, Counters* counters,
+    const CandidateIndex* candidates, const data::ColumnBlocks* blocks) {
   Key key{k, angles};
   Shard& shard = shards_[KeyHash{}(key) % kShards];
   std::shared_ptr<Entry> entry;
@@ -122,7 +120,8 @@ std::vector<int32_t> CornerTopKCache::TopKAt(size_t k,
     if (counters != nullptr) {
       counters->evals.fetch_add(1, std::memory_order_relaxed);
     }
-    return Evaluate(k, angles, candidates, blocks);
+    return std::make_shared<const std::vector<int32_t>>(
+        Evaluate(k, angles, candidates, blocks));
   }
   if (existed && counters != nullptr) {
     counters->hits.fetch_add(1, std::memory_order_relaxed);
@@ -134,7 +133,8 @@ std::vector<int32_t> CornerTopKCache::TopKAt(size_t k,
     entry->topk = Evaluate(k, angles, candidates, blocks);
     entry->ready.store(true, std::memory_order_release);
   });
-  return entry->topk;
+  // Aliases the entry: the list stays alive with it, no second allocation.
+  return std::shared_ptr<const std::vector<int32_t>>(entry, &entry->topk);
 }
 
 size_t CornerTopKCache::entries() const {
@@ -232,78 +232,87 @@ Result<std::vector<int32_t>> SolveMdrc(const data::Dataset& dataset, size_t k,
   }
   CornerTopKCache::Counters counters;
 
-  std::atomic<size_t> nodes{0};
-  std::atomic<size_t> leaves{0};
-  std::atomic<size_t> depth_cap_leaves{0};
-  std::atomic<size_t> max_depth{0};
-  std::atomic<bool> exhausted{false};
+  size_t nodes = 0;
+  size_t leaves = 0;
+  size_t depth_cap_leaves = 0;
+  size_t max_depth = 0;
+  bool exhausted = false;
   std::atomic<bool> preempted{false};
 
-  // Level-synchronous expansion: every node of one depth is independent, so
-  // each round is a parallel map over the frontier. The tree (and therefore
-  // the leaf set) is identical for every thread count; only the evaluation
-  // order differs, and the replay below erases that difference.
+  // Level-synchronous expansion. Each round first resolves the frontier's
+  // distinct corners — siblings share corners, so a level has far fewer
+  // corners than nodes * 2^(d-1) — as one parallel map into a level-local
+  // table (cache hit or top-k scan each), then intersects every node's
+  // corners from that table. The tree (and therefore the leaf set) is
+  // identical for every thread count; only the evaluation order differs,
+  // and the replay below erases that difference.
+  const size_t corners_per_node = size_t{1} << angle_dims;
   std::vector<Node> frontier;
   std::vector<LeafRecord> leaf_records;
   Node root;
   root.box.assign(angle_dims, {0.0, geometry::kHalfPi});
   frontier.push_back(std::move(root));
 
-  while (!frontier.empty() && !exhausted.load(std::memory_order_relaxed) &&
-         !preempted.load(std::memory_order_relaxed)) {
-    std::vector<NodeOutcome> outcomes(frontier.size());
-    ParallelFor(threads, frontier.size(), [&](size_t i) {
-      if (exhausted.load(std::memory_order_relaxed) ||
-          preempted.load(std::memory_order_relaxed)) {
-        return;
+  while (!frontier.empty()) {
+    // The budget is checked before any of the level's corners run, so an
+    // over-budget tree fails without paying for its last level.
+    if (nodes + frontier.size() > options.max_nodes) {
+      exhausted = true;
+      break;
+    }
+    nodes += frontier.size();
+    max_depth = frontier.front().level;
+
+    // Distinct corners in first-seen order; node i's corner `mask` is
+    // *corners[slots[i * corners_per_node + mask]], a key of `slot_of`
+    // (map nodes never move, so the pointers stay valid).
+    std::unordered_map<geometry::Vec, size_t, CornerHash> slot_of;
+    std::vector<const geometry::Vec*> corners;
+    std::vector<size_t> slots(frontier.size() * corners_per_node);
+    geometry::Vec angles(angle_dims);
+    for (size_t i = 0; i < frontier.size(); ++i) {
+      const Node& node = frontier[i];
+      for (size_t mask = 0; mask < corners_per_node; ++mask) {
+        for (size_t j = 0; j < angle_dims; ++j) {
+          angles[j] = (mask >> j & 1) ? node.box[j].second : node.box[j].first;
+        }
+        auto it = slot_of.emplace(angles, corners.size()).first;
+        if (it->second == corners.size()) corners.push_back(&it->first);
+        slots[i * corners_per_node + mask] = it->second;
       }
-      // Per-node preemption point: each node costs up to 2^(d-1) top-k
-      // scans, so one cancel-flag load and clock read per node is noise.
+    }
+
+    // One preemption point per corner: each costs at most one top-k scan.
+    std::vector<std::shared_ptr<const std::vector<int32_t>>> table(
+        corners.size());
+    ParallelFor(threads, corners.size(), [&](size_t c) {
+      if (preempted.load(std::memory_order_relaxed)) return;
       if (!ctx.CheckPreempted().ok()) {
         preempted.store(true, std::memory_order_relaxed);
         return;
       }
-      if (nodes.fetch_add(1, std::memory_order_relaxed) + 1 >
-          options.max_nodes) {
-        exhausted.store(true, std::memory_order_relaxed);
-        return;
-      }
-      const Node& node = frontier[i];
-      size_t seen = max_depth.load(std::memory_order_relaxed);
-      while (node.level > seen &&
-             !max_depth.compare_exchange_weak(seen, node.level,
-                                              std::memory_order_relaxed)) {
-      }
+      table[c] = corner_cache->TopKAt(kk, *corners[c], &counters, candidates,
+                                      blocks);
+    });
+    if (preempted.load(std::memory_order_relaxed)) break;
 
+    std::vector<NodeOutcome> outcomes(frontier.size());
+    ParallelFor(threads, frontier.size(), [&](size_t i) {
       NodeOutcome& out = outcomes[i];
       int32_t first_corner_front = -1;
-      std::vector<int32_t> common =
-          CornerIntersection(node, kk, corner_cache, &counters, candidates,
-                             blocks, &first_corner_front);
-      if (!common.empty()) {
-        leaves.fetch_add(1, std::memory_order_relaxed);
+      out.common = CornerIntersection(table, &slots[i * corners_per_node],
+                                      corners_per_node, &first_corner_front);
+      if (!out.common.empty()) {
         out.kind = NodeOutcome::kCommonLeaf;
-        out.common = std::move(common);
-        return;
-      }
-      if (node.level >= max_level) {
+      } else if (frontier[i].level >= max_level) {
         // Degenerate geometry: corners disagree at sub-epsilon cell sizes.
         // Keep the guarantee "some item per cell" with the all-lows
-        // corner's smallest top-k id, already in hand from the
-        // intersection above (this used to re-request the full corner
-        // top-k from the cache just to take `.front()`); counted so
-        // callers can detect the fallback.
-        depth_cap_leaves.fetch_add(1, std::memory_order_relaxed);
+        // corner's smallest top-k id; counted so callers can detect the
+        // fallback.
         out.kind = NodeOutcome::kDepthCapLeaf;
         out.fallback_item = first_corner_front;
-        return;
       }
-      out.kind = NodeOutcome::kInternal;
     });
-    if (exhausted.load(std::memory_order_relaxed) ||
-        preempted.load(std::memory_order_relaxed)) {
-      break;
-    }
 
     std::vector<Node> next;
     next.reserve(2 * frontier.size());
@@ -312,10 +321,12 @@ Result<std::vector<int32_t>> SolveMdrc(const data::Dataset& dataset, size_t k,
       Node& node = frontier[i];
       switch (out.kind) {
         case NodeOutcome::kCommonLeaf:
+          ++leaves;
           leaf_records.push_back(
               LeafRecord{std::move(node.path), std::move(out.common), -1});
           break;
         case NodeOutcome::kDepthCapLeaf:
+          ++depth_cap_leaves;
           leaf_records.push_back(
               LeafRecord{std::move(node.path), {}, out.fallback_item});
           break;
@@ -335,17 +346,15 @@ Result<std::vector<int32_t>> SolveMdrc(const data::Dataset& dataset, size_t k,
           next.push_back(std::move(lower));
           break;
         }
-        case NodeOutcome::kSkipped:
-          break;
       }
     }
     frontier = std::move(next);
   }
 
-  stats->nodes = nodes.load();
-  stats->leaves = leaves.load();
-  stats->depth_cap_leaves = depth_cap_leaves.load();
-  stats->max_depth = max_depth.load();
+  stats->nodes = nodes;
+  stats->leaves = leaves;
+  stats->depth_cap_leaves = depth_cap_leaves;
+  stats->max_depth = max_depth;
   stats->corner_evals = counters.evals.load();
   stats->cache_hits = counters.hits.load();
   if (preempted.load()) {
@@ -355,7 +364,7 @@ Result<std::vector<int32_t>> SolveMdrc(const data::Dataset& dataset, size_t k,
     if (cause.ok()) cause = Status::Cancelled("MDRC expansion preempted");
     return cause;
   }
-  if (exhausted.load()) {
+  if (exhausted) {
     return Status::ResourceExhausted(
         "MDRC node budget exceeded; k is likely too small relative to n "
         "for this dimensionality (raise MdrcOptions::max_nodes or k)");

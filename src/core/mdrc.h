@@ -45,8 +45,9 @@ struct MdrcOptions {
   /// Cap on memoized corner top-k results (only used when SolveMdrc builds
   /// its own private cache; a shared CornerTopKCache carries its own cap).
   /// Past the cap new corners are evaluated without being cached (pure-CPU
-  /// fallback), which bounds the solver's memory at roughly
-  /// max_cache_entries * (k + d) * 8 bytes even on explosive instances.
+  /// fallback), which bounds the memo at roughly
+  /// max_cache_entries * (k + d) * 8 bytes even on explosive instances; the
+  /// solver additionally holds one depth's corner lists while it runs.
   size_t max_cache_entries = size_t{1} << 21;
 
   /// When a leaf's corner intersection contains an already-chosen tuple,
@@ -57,31 +58,34 @@ struct MdrcOptions {
   bool reuse_chosen = true;
 
   /// Worker threads for the partition expansion: 0 = hardware concurrency,
-  /// 1 = serial. Child cells at one depth are expanded concurrently over a
-  /// sharded corner-top-k memo; leaf decisions are replayed in the serial
-  /// traversal order afterwards, so the representative is identical for
-  /// every thread count (the equivalence tests pin this).
+  /// 1 = serial. Each depth's distinct cell corners are evaluated
+  /// concurrently (a corner-memo hit or one top-k scan each), then every
+  /// cell of the depth intersects its corners concurrently; leaf decisions
+  /// are replayed in the serial traversal order afterwards, so the
+  /// representative is identical for every thread count (the equivalence
+  /// tests pin this).
   size_t threads = 0;
 };
 
 /// Observability counters for a SolveMdrc run.
 ///
-/// All counters are exact at threads = 1 with a private cache. Under
-/// parallel expansion the structural counters (nodes, leaves,
-/// depth_cap_leaves, max_depth) stay exact; corner_evals/cache_hits match
-/// the serial counts too (cache entries are compute-once), except when the
-/// cache cap forces uncached re-evaluations, whose hit/miss split can then
-/// differ slightly. With a shared CornerTopKCache (engine queries), corners
-/// computed by *earlier* solves count as hits here — the split reflects the
-/// shared cache's warmth, which is the reuse signal callers want.
+/// Every counter is independent of the thread count. Corners are resolved
+/// once per depth: each distinct corner of a depth counts exactly once, as
+/// a cache hit or an evaluation, so corner_evals + cache_hits is the number
+/// of (depth, distinct corner) pairs. The split is exact too, except when a
+/// capped cache is full: which racing corners won the last shard slots (and
+/// so hit at the next depth) can then vary, but the sum cannot. With a
+/// shared CornerTopKCache (engine queries), corners computed by *earlier*
+/// solves count as hits here — the split reflects the shared cache's
+/// warmth, which is the reuse signal callers want.
 struct MdrcStats {
   /// Recursion-tree nodes visited.
   size_t nodes = 0;
   /// Nodes resolved by a common top-k item.
   size_t leaves = 0;
-  /// Top-k corner evaluations that missed the memo cache.
+  /// Distinct per-depth corners that missed the memo cache (top-k scans).
   size_t corner_evals = 0;
-  /// Corner evaluations served from the memo cache.
+  /// Distinct per-depth corners served from the memo cache.
   size_t cache_hits = 0;
   /// Leaves forced by the depth cap (0 on non-degenerate data).
   size_t depth_cap_leaves = 0;
@@ -104,10 +108,12 @@ struct MdrcStats {
 ///
 /// Entries are compute-once (std::call_once) and sharded to keep lock
 /// contention off the hot path: a thread requesting an in-flight corner
-/// waits for the computing thread instead of duplicating an O(n log k)
-/// top-k scan. Results are returned by value so no reference outlives a
-/// shard mutation. The per-shard entry cap bounds memory on explosive
-/// instances: past it, corners are recomputed instead of stored.
+/// waits for the computing thread instead of duplicating a top-k scan.
+/// Results are shared immutable lists, so a caller's copy outlives any
+/// shard mutation (Clear included) without duplicating the ids. The
+/// per-shard entry cap bounds memory on explosive instances: past it,
+/// corners are evaluated without being stored (SolveMdrc still shares
+/// each result across the cells of one depth).
 class CornerTopKCache {
  public:
   /// Per-call hit/miss counters (per solve, not per cache — a shared cache
@@ -132,10 +138,10 @@ class CornerTopKCache {
   /// `blocks` (may be null, must mirror this cache's dataset) routes
   /// uncached full scans through the blocked scoring kernel — also
   /// bit-identical, so all four miss paths fill interchangeable entries.
-  std::vector<int32_t> TopKAt(size_t k, const geometry::Vec& angles,
-                              Counters* counters,
-                              const CandidateIndex* candidates = nullptr,
-                              const data::ColumnBlocks* blocks = nullptr);
+  std::shared_ptr<const std::vector<int32_t>> TopKAt(
+      size_t k, const geometry::Vec& angles, Counters* counters,
+      const CandidateIndex* candidates = nullptr,
+      const data::ColumnBlocks* blocks = nullptr);
 
   /// Dataset this cache evaluates against (identity-checked by SolveMdrc).
   const data::Dataset* dataset() const { return &dataset_; }
@@ -211,7 +217,7 @@ class CornerTopKCache {
 /// Fails with InvalidArgument for k == 0 or an empty dataset, and with
 /// ResourceExhausted when the recursion exceeds options.max_nodes. Returns
 /// Cancelled/DeadlineExceeded (no partial representative) when `ctx`
-/// preempts the expansion, which is checked per node.
+/// preempts the expansion, which is checked per corner evaluation.
 ///
 /// `candidates` (may be null) routes every uncached corner top-k through
 /// the k-skyband candidate index (core/candidate_index.h) instead of a

@@ -158,7 +158,7 @@ PreparedDataset::SharedConvexMaxima(size_t threads, const ExecContext& ctx,
         RRR_ASSIGN_OR_RETURN(
             maxima, geometry::ConvexMaxima(compact->flat(), compact->size(),
                                            compact->dims(), threads,
-                                           &certified));
+                                           &certified, ctx));
         for (int32_t& id : maxima) id = (*sky)[static_cast<size_t>(id)];
         std::sort(maxima.begin(), maxima.end());
         return maxima;

@@ -335,7 +335,9 @@ class PreparedDataset {
 
   /// Exact order-1 representative (skyline prefilter + per-candidate
   /// separation LPs), lazy and memoized — the convex-maxima LP results
-  /// cache. `threads` fans the LPs out on the *first* call.
+  /// cache. `threads` fans the LPs out on the *first* call; `ctx` is
+  /// checked before each candidate's LP, so a preempted compute returns
+  /// Cancelled/DeadlineExceeded promptly and leaves the cell to retry.
   Result<std::shared_ptr<const std::vector<int32_t>>> SharedConvexMaxima(
       size_t threads, const ExecContext& ctx = {},
       bool* cache_hit = nullptr) const;

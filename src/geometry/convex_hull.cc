@@ -1,6 +1,7 @@
 #include "geometry/convex_hull.h"
 
 #include <algorithm>
+#include <atomic>
 #include <numeric>
 
 #include "common/logging.h"
@@ -67,7 +68,9 @@ std::vector<int32_t> ConvexHull2D(const double* rows, size_t n) {
 
 Result<std::vector<int32_t>> ConvexMaxima(const double* rows, size_t n,
                                           size_t d, size_t threads,
-                                          const std::vector<char>* certified) {
+                                          const std::vector<char>* certified,
+                                          const ExecContext& ctx) {
+  RRR_RETURN_IF_ERROR(ctx.CheckPreempted());
   if (rows == nullptr) return Status::InvalidArgument("null rows");
   if (certified != nullptr && certified->size() != n) {
     return Status::InvalidArgument("certified mask size != n");
@@ -80,7 +83,14 @@ Result<std::vector<int32_t>> ConvexMaxima(const double* rows, size_t n,
   // Caller-certified rows are maxima by witness and skip their LP.
   std::vector<char> is_maximum(n, 0);
   std::vector<Status> errors(n);
+  std::atomic<bool> preempted{false};
   ParallelFor(ResolveThreads(threads), n, [&](size_t i) {
+    // One preemption point per row: each costs up to one O(n d) LP.
+    if (preempted.load(std::memory_order_relaxed)) return;
+    if (!ctx.CheckPreempted().ok()) {
+      preempted.store(true, std::memory_order_relaxed);
+      return;
+    }
     if (certified != nullptr && (*certified)[i] != 0) {
       is_maximum[i] = 1;
       return;
@@ -93,6 +103,11 @@ Result<std::vector<int32_t>> ConvexMaxima(const double* rows, size_t n,
     }
     if (sep->separable) is_maximum[i] = 1;
   });
+  if (preempted.load()) {
+    Status cause = ctx.CheckPreempted();
+    if (cause.ok()) cause = Status::Cancelled("convex maxima preempted");
+    return cause;
+  }
   for (size_t i = 0; i < n; ++i) {
     if (!errors[i].ok()) return errors[i];
     if (is_maximum[i]) maxima.push_back(static_cast<int32_t>(i));

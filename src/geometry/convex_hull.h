@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/exec_context.h"
 #include "common/result.h"
 
 namespace rrr {
@@ -36,10 +37,14 @@ std::vector<int32_t> ConvexHull2D(const double* rows, size_t n);
 /// one blocked scan (see PreparedDataset::SharedConvexMaxima). Certified
 /// rows skip their LP; the output is identical because their LP could only
 /// have confirmed what the witness already proves.
+///
+/// `ctx` is checked once per candidate row; a preempted call returns
+/// Cancelled/DeadlineExceeded with no partial output.
 Result<std::vector<int32_t>> ConvexMaxima(const double* rows, size_t n,
                                           size_t d, size_t threads = 1,
                                           const std::vector<char>* certified =
-                                              nullptr);
+                                              nullptr,
+                                          const ExecContext& ctx = {});
 
 }  // namespace geometry
 }  // namespace rrr

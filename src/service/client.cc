@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -15,6 +16,28 @@
 
 namespace rrr {
 namespace service {
+
+namespace {
+
+/// A connect() interrupted by a signal (EINTR) keeps going in the kernel;
+/// calling connect() again would fail with EALREADY. Waits for the pending
+/// attempt to finish and reports whether it succeeded.
+bool AwaitInterruptedConnect(int fd) {
+  pollfd p{};
+  p.fd = fd;
+  p.events = POLLOUT;
+  int ready = 0;
+  do {
+    ready = ::poll(&p, 1, -1);
+  } while (ready < 0 && errno == EINTR);
+  if (ready != 1) return false;
+  int error = 0;
+  socklen_t len = sizeof(error);
+  return ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &error, &len) == 0 &&
+         error == 0;
+}
+
+}  // namespace
 
 bool IsRetryableCode(const std::string& code) {
   return code == "busy" || code == "io_error" || code == "unavailable";
@@ -42,7 +65,8 @@ Status LineClient::Connect(const std::string& host, uint16_t port) {
     return Status::InvalidArgument("bad host address: " + host);
   }
   if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
+                sizeof(addr)) != 0 &&
+      !(errno == EINTR && AwaitInterruptedConnect(fd))) {
     ::close(fd);
     return Status::IoError("connect failed to " + host + ":" +
                            std::to_string(port));

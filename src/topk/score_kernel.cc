@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <queue>
 
 #include "common/logging.h"
 
@@ -312,75 +312,137 @@ void ScoreAll(const LinearFunction& f, const data::ColumnBlocks& blocks,
   }
 }
 
-std::vector<int32_t> TopKScan(const data::ColumnBlocks& blocks,
-                              const LinearFunction& f, size_t k,
-                              BlockSkip skip, ScanStats* stats) {
-  RRR_DCHECK(f.dims() == blocks.dims()) << "TopKScan: dimension mismatch";
-  const size_t n = blocks.rows();
-  k = std::min(k, n);
-  if (k == 0) {
-    if (stats != nullptr) *stats = ScanStats{};
-    return {};
+namespace {
+
+/// One selection candidate: a lane's score and its (compacted) row id.
+struct Scored {
+  double score;
+  int32_t id;
+};
+
+/// The library tie order (Outranks: score desc, id asc), extended to a
+/// strict total order over unvalidated data by ranking NaN scores after
+/// every comparable one (NaNs among themselves by id). nth_element/sort
+/// need a strict weak order; on finite data this is exactly Outranks. A
+/// function object, so the sort and selection calls inline it.
+struct Before {
+  bool operator()(const Scored& a, const Scored& b) const {
+    if (a.score > b.score) return true;
+    if (a.score == b.score) return a.id < b.id;
+    if (a.score < b.score) return false;
+    const bool a_nan = std::isnan(a.score);
+    if (a_nan != std::isnan(b.score)) return !a_nan;
+    return a.id < b.id;
   }
+};
+
+/// Buffered threshold selection: leaves the k best (score, id) pairs of the
+/// mirror in `best`, in unspecified order (1 <= k <= rows()).
+///
+/// Each scored block is filtered against the running k-th best pair: a
+/// branch-free `!(score < thr)` lane test (NaN lanes pass it, and a NaN
+/// threshold passes every lane), then the exact order on the few lanes that
+/// pass. Survivors append to a buffer of ~2k entries; a full buffer is cut
+/// back to its k best by nth_element, which also tightens the threshold.
+/// The order is strict and total, so any correct selection keeps the same
+/// k pairs — the ones a full sort would. Block skip applies the strict-loss
+/// rule against the threshold once one exists.
+void SelectTopK(const data::ColumnBlocks& blocks, const LinearFunction& f,
+                size_t k, BlockSkip skip, ScanStats* stats,
+                std::vector<Scored>* best) {
+  RRR_DCHECK(f.dims() == blocks.dims()) << "TopKScan: dimension mismatch";
   const double* w = f.weights().data();
   const size_t d = blocks.dims();
   const bool use_skip = ResolveSkip(skip, blocks);
+  const bool masked = blocks.masked();
+  const size_t flush_at = k + std::max(k, kBlockRows);
   ScanStats local;
-
-  // Same bounded heap as the Threshold Algorithm's candidate set: min-heap
-  // on "goodness", weakest of the current top-k on top. The total order is
-  // strict (Outranks), so any correct selection yields the same ids — and
-  // the final extraction sorts them into the same best-first order as
-  // topk::TopK.
-  struct Entry {
-    double score;
-    int32_t id;
-  };
-  auto worse = [](const Entry& a, const Entry& b) {
-    if (a.score != b.score) return a.score > b.score;
-    return a.id < b.id;
-  };
-  std::priority_queue<Entry, std::vector<Entry>, decltype(worse)> best(worse);
+  best->clear();
+  best->reserve(std::min(flush_at + kBlockRows, blocks.rows()));
+  bool have_thr = false;
+  Scored thr{0.0, 0};
 
   double buf[kBlockRows];
   const size_t num_blocks = blocks.num_blocks();
-  const bool masked = blocks.masked();
   for (size_t b = 0; b < num_blocks; ++b) {
     // Strict loss only: a block with ub == threshold may hold a tying row
     // that wins by smaller id, so ties always scan (the bit-identity
     // contract's tie-order caveat).
-    if (use_skip && best.size() == k &&
+    if (use_skip && have_thr &&
         BlockUpperBound(w, d, blocks.block_max(b), blocks.block_min(b)) <
-            best.top().score) {
+            thr.score) {
       ++local.blocks_skipped;
       continue;
     }
     ++local.blocks_scanned;
     ScoreBlock(w, d, blocks.block(b), buf);
-    const size_t rows = blocks.block_rows(b);
-    const uint64_t mask = blocks.block_mask(b);
+    const uint64_t live = blocks.block_mask(b);
+    uint64_t pass = live;
+    if (have_thr) {
+      uint64_t hits = 0;
+      for (size_t lane = 0; lane < kBlockRows; ++lane) {
+        hits |= static_cast<uint64_t>(!(buf[lane] < thr.score)) << lane;
+      }
+      pass &= hits;
+    }
     // Live lanes in physical order carry consecutive compacted ids; for
     // dense mirrors that degenerates to base + lane.
-    int32_t id = static_cast<int32_t>(blocks.live_before(b));
-    for (size_t lane = 0; lane < rows; ++lane) {
-      if (masked && !((mask >> lane) & 1)) continue;
-      const double score = buf[lane];
-      if (best.size() < k) {
-        best.push(Entry{score, id});
-      } else if (Outranks(score, id, best.top().score, best.top().id)) {
-        best.pop();
-        best.push(Entry{score, id});
-      }
-      ++id;
+    const int32_t base = static_cast<int32_t>(blocks.live_before(b));
+    for (; pass != 0; pass &= pass - 1) {
+      const int lane = __builtin_ctzll(pass);
+      const uint64_t below = (uint64_t{1} << lane) - 1;
+      const Scored s{buf[lane],
+                     base + (masked ? __builtin_popcountll(live & below)
+                                    : lane)};
+      if (!have_thr || Before{}(s, thr)) best->push_back(s);
+    }
+    if (best->size() >= flush_at) {
+      std::nth_element(best->begin(), best->begin() + (k - 1), best->end(),
+                       Before{});
+      best->resize(k);
+      thr = best->back();
+      have_thr = true;
     }
   }
   CommitScanStats(local, stats);
-
-  std::vector<int32_t> out(best.size());
-  for (size_t i = out.size(); i-- > 0;) {
-    out[i] = best.top().id;
-    best.pop();
+  if (best->size() > k) {
+    std::nth_element(best->begin(), best->begin() + (k - 1), best->end(),
+                     Before{});
+    best->resize(k);
   }
+}
+
+}  // namespace
+
+std::vector<int32_t> TopKScan(const data::ColumnBlocks& blocks,
+                              const LinearFunction& f, size_t k,
+                              BlockSkip skip, ScanStats* stats) {
+  k = std::min(k, blocks.rows());
+  if (k == 0) {
+    if (stats != nullptr) *stats = ScanStats{};
+    return {};
+  }
+  std::vector<Scored> best;
+  SelectTopK(blocks, f, k, skip, stats, &best);
+  std::sort(best.begin(), best.end(), Before{});
+  std::vector<int32_t> out(k);
+  for (size_t i = 0; i < k; ++i) out[i] = best[i].id;
+  return out;
+}
+
+std::vector<int32_t> TopKSetScan(const data::ColumnBlocks& blocks,
+                                 const LinearFunction& f, size_t k,
+                                 BlockSkip skip, ScanStats* stats) {
+  k = std::min(k, blocks.rows());
+  if (k == 0) {
+    if (stats != nullptr) *stats = ScanStats{};
+    return {};
+  }
+  std::vector<Scored> best;
+  SelectTopK(blocks, f, k, skip, stats, &best);
+  std::vector<int32_t> out(k);
+  for (size_t i = 0; i < k; ++i) out[i] = best[i].id;
+  std::sort(out.begin(), out.end());
   return out;
 }
 

@@ -144,15 +144,25 @@ void ScoreAll(const LinearFunction& f, const data::ColumnBlocks& blocks,
 /// ids, in bit-identical order, to topk::TopK(*blocks.source(), f, k) —
 /// score descending, ties by ascending id. k is clamped to blocks.rows().
 ///
-/// One pass: each block is scored into a stack buffer and folded into a
-/// bounded heap, so no O(n) score materialization and no O(n) index sort.
-/// Once the heap is full, blocks whose upper bound loses strictly to the
-/// weakest held entry are skipped (see BlockSkip); `stats` (optional)
-/// receives this call's scan/skip counts.
+/// One pass of buffered threshold selection: each block is scored into a
+/// stack buffer and its lanes are filtered against the running k-th best
+/// (score, id) — a vectorizable score test, then the exact tie order on the
+/// lanes that pass. Survivors collect in a buffer of about 2k entries; when
+/// it fills, nth_element keeps the k best and tightens the threshold. No
+/// O(n) score materialization and no O(n) index sort. Once a threshold
+/// exists, blocks whose upper bound loses strictly to it are skipped (see
+/// BlockSkip); `stats` (optional) receives this call's scan/skip counts.
 std::vector<int32_t> TopKScan(const data::ColumnBlocks& blocks,
                               const LinearFunction& f, size_t k,
                               BlockSkip skip = BlockSkip::kAuto,
                               ScanStats* stats = nullptr);
+
+/// The same selection as TopKScan, returned as a set: the top-k ids sorted
+/// ascending (== topk::TopKSet), without the best-first sort.
+std::vector<int32_t> TopKSetScan(const data::ColumnBlocks& blocks,
+                                 const LinearFunction& f, size_t k,
+                                 BlockSkip skip = BlockSkip::kAuto,
+                                 ScanStats* stats = nullptr);
 
 /// Maximum score over all mirrored rows (== max_i f.Score(row i); the
 /// regret-ratio evaluators' full-scan numerator). Requires rows() > 0.

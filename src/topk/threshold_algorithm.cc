@@ -82,7 +82,7 @@ std::vector<int32_t> ThresholdAlgorithmIndex::TopK(const LinearFunction& f,
   if (blocks_ != nullptr && k * kDenseScanFraction >= n) {
     // Dense query: skip sorted access entirely and run the fused blocked
     // scan (bit-identical output). Block-max pruning may skip tail blocks
-    // once the heap fills, so the reported depth reflects the blocks
+    // once the selection threshold forms, so the depth reflects the blocks
     // actually scored rather than a nominal full scan.
     ScanStats stats;
     std::vector<int32_t> out = TopKScan(*blocks_, f, k, BlockSkip::kAuto,

@@ -43,7 +43,15 @@ std::vector<int32_t> TopK(const data::Dataset& dataset,
 std::vector<int32_t> TopKSet(const data::Dataset& dataset,
                              const LinearFunction& f, size_t k,
                              const data::ColumnBlocks* blocks) {
-  std::vector<int32_t> ids = TopK(dataset, f, k, blocks);
+  if (blocks != nullptr) {
+    RRR_DCHECK(blocks->source() == &dataset)
+        << "TopKSet: blocks mirror a different dataset";
+    RRR_DCHECK(blocks->rows() == dataset.size() &&
+               blocks->dims() == dataset.dims())
+        << "TopKSet: stale column mirror";
+    return TopKSetScan(*blocks, f, k);
+  }
+  std::vector<int32_t> ids = TopK(dataset, f, k);
   std::sort(ids.begin(), ids.end());
   return ids;
 }

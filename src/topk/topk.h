@@ -24,7 +24,8 @@ std::vector<int32_t> TopK(const data::Dataset& dataset,
                           const data::ColumnBlocks* blocks = nullptr);
 
 /// Same ids as TopK but sorted ascending (set semantics) — the natural k-set
-/// representation used by the enumeration algorithms.
+/// representation used by the enumeration algorithms. With a mirror it runs
+/// the kernel's TopKSetScan, which skips the best-first sort.
 std::vector<int32_t> TopKSet(const data::Dataset& dataset,
                              const LinearFunction& f, size_t k,
                              const data::ColumnBlocks* blocks = nullptr);

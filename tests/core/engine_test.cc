@@ -322,6 +322,28 @@ TEST(EnginePreemptionTest, PreCancelledAndExpiredFromEveryAlgorithm) {
   }
 }
 
+// The order-1 path checks its deadline per separation LP, not only at entry:
+// on a wide anticorrelated skyline the LPs take seconds, so a 1 ms budget
+// must end the query with DeadlineExceeded, not a late answer.
+TEST(EnginePreemptionTest, ConvexMaximaHonoursDeadlineMidCompute) {
+  Result<std::shared_ptr<const PreparedDataset>> prepared =
+      PreparedDataset::Create(data::GenerateAnticorrelated(1500, 4, 17));
+  ASSERT_TRUE(prepared.ok());
+  ASSERT_TRUE((*prepared)->SharedSkyline().ok());  // warm the prefilter
+  ExecContext ctx;
+  ctx.deadline = Deadline::After(0.001);
+  EXPECT_EQ((*prepared)->SharedConvexMaxima(4, ctx).status().code(),
+            StatusCode::kDeadlineExceeded);
+
+  Result<std::shared_ptr<RrrEngine>> engine = RrrEngine::Create(*prepared);
+  ASSERT_TRUE(engine.ok());
+  QueryOptions query;
+  query.algorithm = Algorithm::kConvexMaxima;
+  query.exec.deadline = Deadline::After(0.001);
+  EXPECT_EQ((*engine)->Solve(1, query).status().code(),
+            StatusCode::kDeadlineExceeded);
+}
+
 TEST(EnginePreemptionTest, RawEntryPointsHonourPreCancellation) {
   const data::Dataset ds2 = data::GenerateUniform(60, 2, 15);
   const data::Dataset ds3 = data::GenerateUniform(60, 3, 16);

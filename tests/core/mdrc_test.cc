@@ -1,9 +1,11 @@
 #include "core/mdrc.h"
 
 #include <algorithm>
+#include <thread>
 
 #include <gtest/gtest.h>
 
+#include "common/exec_context.h"
 #include "data/generators.h"
 #include "eval/rank_regret.h"
 #include "geometry/convex_hull.h"
@@ -211,6 +213,122 @@ TEST(MdrcTest, OutputSizeStaysSmallOnPaperLikeWorkloads) {
     ASSERT_TRUE(rep.ok());
     EXPECT_LE(rep->size(), 40u);
   }
+}
+
+
+// Per-level corner evaluation: every thread count resolves the same
+// distinct corners of each depth, so the representative and the number of
+// corner resolutions (hits + evaluations) cannot depend on scheduling.
+TEST(MdrcTest, ThreadCountsAgreeOnRepresentativeAndCornerCount) {
+  const data::Dataset ds = data::GenerateBnLike(3000, 4).ProjectPrefix(4);
+  for (size_t k : {15u, 60u}) {
+    MdrcOptions serial;
+    serial.threads = 1;
+    MdrcStats s1;
+    Result<std::vector<int32_t>> want = SolveMdrc(ds, k, serial, &s1);
+    ASSERT_TRUE(want.ok());
+    for (size_t threads : {2u, 4u, 8u}) {
+      MdrcOptions opts;
+      opts.threads = threads;
+      MdrcStats st;
+      Result<std::vector<int32_t>> got = SolveMdrc(ds, k, opts, &st);
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(*got, *want) << "k=" << k << " threads=" << threads;
+      EXPECT_EQ(st.corner_evals, s1.corner_evals) << "threads=" << threads;
+      EXPECT_EQ(st.corner_evals + st.cache_hits,
+                s1.corner_evals + s1.cache_hits)
+          << "threads=" << threads;
+      EXPECT_EQ(st.nodes, s1.nodes);
+    }
+  }
+}
+
+TEST(MdrcTest, FullCacheAgreesAcrossThreadCounts) {
+  // max_entries = 1 leaves one slot per shard, so almost every corner is
+  // evaluated uncached; the level table must still resolve each distinct
+  // corner of a depth exactly once, whoever wins the few slots.
+  const data::Dataset ds = data::GenerateUniform(1500, 4, 8);
+  const size_t k = 25;
+  MdrcOptions reference_opts;
+  reference_opts.threads = 1;
+  MdrcStats reference;
+  Result<std::vector<int32_t>> want =
+      SolveMdrc(ds, k, reference_opts, &reference);
+  ASSERT_TRUE(want.ok());
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
+    MdrcOptions opts;
+    opts.threads = threads;
+    CornerTopKCache full(ds, 1);
+    MdrcStats shared_stats;
+    Result<std::vector<int32_t>> shared =
+        SolveMdrc(ds, k, opts, &shared_stats, {}, &full);
+    ASSERT_TRUE(shared.ok());
+    EXPECT_EQ(*shared, *want) << "threads=" << threads;
+    EXPECT_EQ(shared_stats.corner_evals + shared_stats.cache_hits,
+              reference.corner_evals + reference.cache_hits)
+        << "threads=" << threads;
+    EXPECT_LE(full.entries(), 32u);  // one slot in each of the 32 shards
+
+    opts.max_cache_entries = 1;
+    MdrcStats private_stats;
+    Result<std::vector<int32_t>> own = SolveMdrc(ds, k, opts, &private_stats);
+    ASSERT_TRUE(own.ok());
+    EXPECT_EQ(*own, *want) << "threads=" << threads;
+    EXPECT_EQ(private_stats.corner_evals + private_stats.cache_hits,
+              reference.corner_evals + reference.cache_hits)
+        << "threads=" << threads;
+  }
+}
+
+TEST(MdrcTest, NodeBudgetExhaustsAtEveryThreadCount) {
+  const data::Dataset ds = data::GenerateUniform(300, 5, 3);
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
+    MdrcOptions opts;
+    opts.threads = threads;
+    opts.max_nodes = 2000;
+    MdrcStats stats;
+    Result<std::vector<int32_t>> rep = SolveMdrc(ds, 2, opts, &stats);
+    ASSERT_FALSE(rep.ok());
+    EXPECT_EQ(rep.status().code(), StatusCode::kResourceExhausted);
+    // The check runs before a level's corners, so no level past the
+    // budget was evaluated.
+    EXPECT_LE(stats.nodes, opts.max_nodes) << "threads=" << threads;
+  }
+}
+
+TEST(MdrcTest, CancelMidLevelReturnsNoPartialResult) {
+  // A tree dozens of levels deep; the canceller fires once the shared
+  // cache shows corners past the root level being resolved.
+  const data::Dataset ds = data::GenerateBnLike(20000, 1).ProjectPrefix(5);
+  for (size_t threads : {1u, 4u}) {
+    CornerTopKCache cache(ds, size_t{1} << 20);
+    CancellationSource source;
+    ExecContext ctx;
+    ctx.cancel = source.token();
+    std::thread canceller([&] {
+      while (cache.entries() <= 40) std::this_thread::yield();
+      source.RequestCancel();
+    });
+    MdrcOptions opts;
+    opts.threads = threads;
+    MdrcStats stats;
+    Result<std::vector<int32_t>> rep =
+        SolveMdrc(ds, 20, opts, &stats, ctx, &cache);
+    canceller.join();
+    ASSERT_FALSE(rep.ok()) << "threads=" << threads;
+    EXPECT_EQ(rep.status().code(), StatusCode::kCancelled);
+  }
+}
+
+TEST(MdrcTest, ExpiredDeadlineMidSolveReturnsDeadlineExceeded) {
+  const data::Dataset ds = data::GenerateBnLike(20000, 1).ProjectPrefix(5);
+  ExecContext ctx;
+  ctx.deadline = Deadline::After(0.005);
+  MdrcOptions opts;
+  opts.threads = 4;
+  Result<std::vector<int32_t>> rep = SolveMdrc(ds, 20, opts, nullptr, ctx);
+  ASSERT_FALSE(rep.ok());
+  EXPECT_EQ(rep.status().code(), StatusCode::kDeadlineExceeded);
 }
 
 }  // namespace

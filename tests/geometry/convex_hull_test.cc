@@ -94,6 +94,30 @@ TEST(ConvexMaximaTest, EveryMaximaItemWinsSomewhereIn3D) {
   }
 }
 
+TEST(ConvexMaximaTest, PreemptionStopsTheLpFanOut) {
+  // Anticorrelated rows are nearly all maxima: one LP of n constraints per
+  // row, far longer than the 1 ms budget.
+  const data::Dataset ds = data::GenerateAnticorrelated(400, 4, 3);
+  ExecContext deadline;
+  deadline.deadline = Deadline::After(0.001);
+  for (size_t threads : {1u, 4u}) {
+    EXPECT_EQ(ConvexMaxima(ds.flat(), ds.size(), ds.dims(), threads, nullptr,
+                           deadline)
+                  .status()
+                  .code(),
+              StatusCode::kDeadlineExceeded);
+  }
+  CancellationSource source;
+  source.RequestCancel();
+  ExecContext cancelled;
+  cancelled.cancel = source.token();
+  EXPECT_EQ(ConvexMaxima(ds.flat(), ds.size(), ds.dims(), 1, nullptr,
+                         cancelled)
+                .status()
+                .code(),
+            StatusCode::kCancelled);
+}
+
 TEST(ConvexMaximaTest, TrivialSizes) {
   const std::vector<double> one = {0.5, 0.5};
   Result<std::vector<int32_t>> m = ConvexMaxima(one.data(), 1, 2);

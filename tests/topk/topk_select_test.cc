@@ -1,0 +1,174 @@
+// Equivalence suite for the kernel's buffered top-k selection: TopKScan
+// (best-first) and TopKSetScan (ascending ids) must return exactly what the
+// row-loop topk::TopK / TopKSet return — same ids, same order — for every k
+// around the block size and the buffer's flush points, over dense, masked
+// and appended mirrors, with block skip forced on and off. Ties (duplicate
+// rows) and zero-weight corner functions are where a selection that bends
+// the (score desc, id asc) order would show.
+#include <gtest/gtest.h>
+
+#include <cmath>
+#include <string>
+#include <vector>
+
+#include "common/random.h"
+#include "data/column_blocks.h"
+#include "data/generators.h"
+#include "geometry/angles.h"
+#include "topk/score_kernel.h"
+#include "topk/scoring.h"
+#include "topk/topk.h"
+#include "test_util.h"
+
+namespace rrr {
+namespace topk {
+namespace {
+
+constexpr size_t kDims = 4;
+
+data::ColumnBlocks MustBuild(const data::Dataset& ds) {
+  Result<data::ColumnBlocks> blocks = data::ColumnBlocks::Build(ds, 1);
+  RRR_CHECK(blocks.ok()) << blocks.status().ToString();
+  return std::move(blocks).value();
+}
+
+std::vector<std::vector<double>> Rows(const data::Dataset& ds) {
+  std::vector<std::vector<double>> rows;
+  for (size_t i = 0; i < ds.size(); ++i) {
+    rows.emplace_back(ds.row(i), ds.row(i) + ds.dims());
+  }
+  return rows;
+}
+
+struct Family {
+  std::string name;
+  data::Dataset data;
+};
+
+std::vector<Family> Families(size_t n, uint64_t seed) {
+  std::vector<Family> families;
+  families.push_back({"uniform", data::GenerateUniform(n, kDims, seed)});
+  families.push_back(
+      {"anticorrelated", data::GenerateAnticorrelated(n, kDims, seed)});
+  families.push_back(
+      {"bn-like", data::GenerateBnLike(n, seed).ProjectPrefix(kDims)});
+  // Few distinct rows, each repeated many times: long runs of exact score
+  // ties that only the id order separates.
+  std::vector<std::vector<double>> dup;
+  const data::Dataset pool = data::GenerateUniform(n / 16 + 2, kDims, seed);
+  for (size_t i = 0; i < n; ++i) {
+    std::vector<double> row(pool.row(i % pool.size()),
+                            pool.row(i % pool.size()) + kDims);
+    for (double& v : row) v = std::round(v * 4.0) / 4.0;
+    dup.push_back(std::move(row));
+  }
+  families.push_back({"duplicate-heavy", testing::MakeDataset(dup)});
+  return families;
+}
+
+/// Corner functions of the angle box (every corner has zero weights, and
+/// the all-zero-angle corner is a single axis), plus random directions.
+std::vector<LinearFunction> Functions(uint64_t seed) {
+  std::vector<LinearFunction> funcs;
+  for (size_t mask = 0; mask < (size_t{1} << (kDims - 1)); ++mask) {
+    geometry::Vec angles(kDims - 1);
+    for (size_t j = 0; j < angles.size(); ++j) {
+      angles[j] = (mask >> j & 1) ? geometry::kHalfPi : 0.0;
+    }
+    funcs.push_back(LinearFunction::FromAngles(angles));
+  }
+  Rng rng(seed);
+  for (int i = 0; i < 3; ++i) {
+    funcs.emplace_back(rng.UnitWeightVector(static_cast<int>(kDims)));
+  }
+  return funcs;
+}
+
+std::vector<size_t> Ks(size_t n) {
+  return {1, 63, 64, 65, n / 2, n - 1, n, n + 5};
+}
+
+/// Both kernel selections against the row loop over `source`, with skip
+/// on and off, plus the scanned + skipped == num_blocks accounting.
+void ExpectSelectionsMatch(const data::ColumnBlocks& blocks,
+                           const data::Dataset& source,
+                           const std::string& tag) {
+  for (const LinearFunction& f : Functions(41)) {
+    for (size_t k : Ks(source.size())) {
+      const std::vector<int32_t> want = TopK(source, f, k);
+      const std::vector<int32_t> want_set = TopKSet(source, f, k);
+      for (BlockSkip skip : {BlockSkip::kForceOn, BlockSkip::kForceOff}) {
+        const std::string where =
+            tag + " k=" + std::to_string(k) +
+            (skip == BlockSkip::kForceOn ? " skip=on" : " skip=off");
+        ScanStats stats;
+        EXPECT_EQ(TopKScan(blocks, f, k, skip, &stats), want) << where;
+        EXPECT_EQ(stats.blocks_scanned + stats.blocks_skipped,
+                  blocks.num_blocks())
+            << where;
+        ScanStats set_stats;
+        EXPECT_EQ(TopKSetScan(blocks, f, k, skip, &set_stats), want_set)
+            << where;
+        EXPECT_EQ(set_stats.blocks_scanned + set_stats.blocks_skipped,
+                  blocks.num_blocks())
+            << where;
+        if (skip == BlockSkip::kForceOff) {
+          EXPECT_EQ(stats.blocks_skipped, 0u) << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(TopKSelectTest, DenseMirrorMatchesRowLoop) {
+  for (const Family& family : Families(700, 3)) {
+    ExpectSelectionsMatch(MustBuild(family.data), family.data, family.name);
+  }
+}
+
+TEST(TopKSelectTest, MaskedMirrorMatchesRowLoop) {
+  for (const Family& family : Families(400, 5)) {
+    std::vector<std::vector<double>> rows = Rows(family.data);
+    data::ColumnBlocks masked = MustBuild(family.data);
+    std::vector<data::Dataset> keep_alive;  // masked mirrors point at these
+    keep_alive.reserve(5);
+    for (size_t victim : {size_t{0}, size_t{63}, size_t{64}, size_t{200},
+                          size_t{390}}) {
+      rows.erase(rows.begin() + static_cast<int64_t>(victim));
+      keep_alive.push_back(testing::MakeDataset(rows));
+      Result<data::ColumnBlocks> next =
+          masked.WithoutRow(&keep_alive.back(), victim);
+      ASSERT_TRUE(next.ok()) << next.status().ToString();
+      masked = std::move(*next);
+    }
+    ASSERT_TRUE(masked.masked());
+    ExpectSelectionsMatch(masked, keep_alive.back(), family.name + " masked");
+  }
+}
+
+TEST(TopKSelectTest, AppendedMirrorMatchesRowLoop) {
+  for (const Family& family : Families(450, 7)) {
+    const std::vector<std::vector<double>> rows = Rows(family.data);
+    const data::Dataset base_data = testing::MakeDataset(
+        std::vector<std::vector<double>>(rows.begin(), rows.end() - 101));
+    const data::ColumnBlocks base = MustBuild(base_data);
+    Result<data::ColumnBlocks> grown =
+        data::ColumnBlocks::BuildAppended(base, family.data);
+    ASSERT_TRUE(grown.ok()) << grown.status().ToString();
+    ExpectSelectionsMatch(*grown, family.data, family.name + " appended");
+  }
+}
+
+TEST(TopKSelectTest, EmptyRequestsScanNothing) {
+  const data::Dataset ds = data::GenerateUniform(100, kDims, 9);
+  const data::ColumnBlocks blocks = MustBuild(ds);
+  const LinearFunction f(geometry::Vec(kDims, 1.0));
+  ScanStats stats{7, 7};
+  EXPECT_TRUE(TopKScan(blocks, f, 0, BlockSkip::kAuto, &stats).empty());
+  EXPECT_EQ(stats.blocks_scanned + stats.blocks_skipped, 0u);
+  EXPECT_TRUE(TopKSetScan(blocks, f, 0).empty());
+}
+
+}  // namespace
+}  // namespace topk
+}  // namespace rrr
