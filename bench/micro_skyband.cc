@@ -1,7 +1,6 @@
-// Ablation: the k-skyband prefilter for K-SETr (DESIGN.md extension). Shows
-// the band computation cost, the reduction factor, and K-SETr time with and
-// without the filter on dominance-heavy (correlated) vs adversarial
-// (anticorrelated) data.
+// The k-skyband reference computation (geometry::KSkyband: cost and band
+// fraction) and unpruned K-SETr time on dominance-heavy (correlated) vs
+// adversarial (anticorrelated) data.
 #include <benchmark/benchmark.h>
 
 #include "core/kset_sampler.h"
@@ -29,9 +28,8 @@ void BM_KSkyband(benchmark::State& state) {
 }
 BENCHMARK(BM_KSkyband)->Arg(1000)->Arg(5000);
 
-void RunSampler(benchmark::State& state, const Dataset& ds, bool prefilter) {
+void RunSampler(benchmark::State& state, const Dataset& ds) {
   KSetSamplerOptions opts;
-  opts.skyband_prefilter = prefilter;
   opts.termination_count = 50;
   size_t ksets = 0;
   for (auto _ : state) {
@@ -42,32 +40,18 @@ void RunSampler(benchmark::State& state, const Dataset& ds, bool prefilter) {
   state.counters["ksets"] = static_cast<double>(ksets);
 }
 
-void BM_KSetrNoPrefilter_Correlated(benchmark::State& state) {
+void BM_KSetr_Correlated(benchmark::State& state) {
   const Dataset ds = rrr::data::GenerateCorrelated(
       static_cast<size_t>(state.range(0)), 3, 2, 0.9);
-  RunSampler(state, ds, false);
+  RunSampler(state, ds);
 }
-BENCHMARK(BM_KSetrNoPrefilter_Correlated)->Arg(2000);
+BENCHMARK(BM_KSetr_Correlated)->Arg(2000);
 
-void BM_KSetrWithPrefilter_Correlated(benchmark::State& state) {
-  const Dataset ds = rrr::data::GenerateCorrelated(
-      static_cast<size_t>(state.range(0)), 3, 2, 0.9);
-  RunSampler(state, ds, true);
-}
-BENCHMARK(BM_KSetrWithPrefilter_Correlated)->Arg(2000);
-
-void BM_KSetrNoPrefilter_Anticorrelated(benchmark::State& state) {
+void BM_KSetr_Anticorrelated(benchmark::State& state) {
   const Dataset ds = rrr::data::GenerateAnticorrelated(
       static_cast<size_t>(state.range(0)), 3, 2);
-  RunSampler(state, ds, false);
+  RunSampler(state, ds);
 }
-BENCHMARK(BM_KSetrNoPrefilter_Anticorrelated)->Arg(2000);
-
-void BM_KSetrWithPrefilter_Anticorrelated(benchmark::State& state) {
-  const Dataset ds = rrr::data::GenerateAnticorrelated(
-      static_cast<size_t>(state.range(0)), 3, 2);
-  RunSampler(state, ds, true);
-}
-BENCHMARK(BM_KSetrWithPrefilter_Anticorrelated)->Arg(2000);
+BENCHMARK(BM_KSetr_Anticorrelated)->Arg(2000);
 
 }  // namespace

@@ -1,16 +1,16 @@
-// Micro-benchmarks for the top-k substrate: selection vs full sort, rank
-// queries, and the effect of k.
+// Micro-benchmarks for the top-k substrate: selection vs full sort, the
+// k-skyband band scan, rank queries, and the effect of k.
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
 #include "common/random.h"
+#include "core/candidate_index.h"
 #include "data/column_blocks.h"
 #include "data/generators.h"
 #include "topk/rank.h"
 #include "topk/score_kernel.h"
 #include "topk/scoring.h"
-#include "topk/threshold_algorithm.h"
 #include "topk/topk.h"
 
 namespace {
@@ -61,34 +61,35 @@ BENCHMARK(BM_TopKScanSweep)
     ->ArgsProduct({{20, 200, 1186, 5000, 10000}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
 
-void BM_ThresholdAlgorithmQuery(benchmark::State& state) {
-  // Ablation vs BM_TopK: amortized TA query cost after a one-time index
-  // build; the win grows with correlation (rho 0.9 here).
-  const size_t n = static_cast<size_t>(state.range(0));
-  const size_t k = static_cast<size_t>(state.range(1));
-  const Dataset ds = rrr::data::GenerateCorrelated(n, 4, 1, 0.9);
-  const rrr::topk::ThresholdAlgorithmIndex index(ds);
-  LinearFunction f({0.4, 0.3, 0.2, 0.1});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(index.TopK(f, k));
+void BM_CandidateIndexTopKSet(benchmark::State& state) {
+  // The k-skyband band scan every pruned top-k hot path runs (MDRC corners,
+  // K-SETr draws): CandidateIndex::TopKSet on correlated data (n = 20000,
+  // d = 4, rho 0.9). The index is built once per k, outside the timing;
+  // iterations cycle through 400 random functions, time is per query.
+  const size_t k = static_cast<size_t>(state.range(0));
+  const Dataset ds = rrr::data::GenerateCorrelated(20000, 4, 1, 0.9);
+  const rrr::Result<rrr::core::CandidateIndex::Outcome> outcome =
+      rrr::core::CandidateIndex::Create(ds, k);
+  if (!outcome.ok() || outcome->index == nullptr) {
+    state.SkipWithError("candidate index declined or failed");
+    return;
   }
-  state.counters["scan_depth"] =
-      static_cast<double>(index.last_scan_depth());
-}
-BENCHMARK(BM_ThresholdAlgorithmQuery)
-    ->Args({10000, 10})
-    ->Args({10000, 100})
-    ->Args({100000, 1000});
-
-void BM_ThresholdAlgorithmBuild(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const Dataset ds = rrr::data::GenerateCorrelated(n, 4, 2, 0.9);
+  const rrr::core::CandidateIndex& index = *outcome->index;
+  rrr::Rng rng(11);
+  std::vector<LinearFunction> funcs;
+  for (int i = 0; i < 400; ++i) funcs.emplace_back(rng.UnitWeightVector(4));
+  size_t next = 0;
   for (auto _ : state) {
-    rrr::topk::ThresholdAlgorithmIndex index(ds);
-    benchmark::DoNotOptimize(index);
+    benchmark::DoNotOptimize(index.TopKSet(funcs[next++ % funcs.size()], k));
   }
+  state.counters["band_size"] = static_cast<double>(index.band_size());
 }
-BENCHMARK(BM_ThresholdAlgorithmBuild)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_CandidateIndexTopKSet)
+    ->Arg(20)
+    ->Arg(200)
+    ->Arg(1000)
+    ->Arg(5000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_RankOf(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

@@ -4,7 +4,6 @@
 #include <numeric>
 #include <utility>
 
-#include "common/failpoint.h"
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "common/random.h"
@@ -165,7 +164,7 @@ CandidateIndex::CandidateIndex(const data::Dataset& full, size_t k,
       band_(std::move(band)),
       band_ids_(std::move(band_ids)),
       in_band_(std::move(in_band)) {
-  // The band is this index's hot scan surface (TA dense queries, the
+  // The band is this index's hot scan surface (every TopK/TopKSet, the
   // MinRankOfSubset band count, the band sweep's initial scoring), so its
   // columnar mirror is built unconditionally — one O(band * d) pass,
   // serial: the band build itself already gated profitability.
@@ -173,8 +172,6 @@ CandidateIndex::CandidateIndex(const data::Dataset& full, size_t k,
   RRR_CHECK(mirror.ok()) << mirror.status().ToString();
   band_blocks_ =
       std::make_unique<data::ColumnBlocks>(std::move(mirror).value());
-  ta_ = std::make_unique<topk::ThresholdAlgorithmIndex>(band_,
-                                                        band_blocks_.get());
   if (band_.dims() == 2) {
     band_sweep_ = std::make_unique<AngularSweep>(band_, band_blocks_.get());
   }
@@ -304,9 +301,6 @@ Result<CandidateIndex::Outcome> CandidateIndex::Create(
   Result<data::Dataset> band =
       data::Dataset::FromFlat(std::move(cells), band_ids.size(), d);
   RRR_CHECK(band.ok()) << band.status().ToString();
-  // The constructor below builds the band mirror + TA index infallibly, so
-  // this is the last fallible point before they exist.
-  RRR_FAILPOINT("core.artifact.ta_index");
   out.index = std::shared_ptr<const CandidateIndex>(
       new CandidateIndex(dataset, kk, std::move(band).value(),
                          std::move(band_ids), std::move(in_band)));
@@ -318,7 +312,9 @@ std::vector<int32_t> CandidateIndex::TopK(const topk::LinearFunction& f,
   k = std::min(k, full_->size());  // same clamp as topk::TopK
   RRR_CHECK(k <= k_) << "CandidateIndex: top-" << k
                      << " requested from a band built for k = " << k_;
-  std::vector<int32_t> ids = ta_->TopK(f, k);
+  // Band-local ids ascend with original ids, so the kernel's (score desc,
+  // id asc) order over the band is the full dataset's order.
+  std::vector<int32_t> ids = topk::TopKScan(*band_blocks_, f, k);
   for (int32_t& id : ids) id = band_ids_[static_cast<size_t>(id)];
   return ids;
 }
@@ -330,13 +326,9 @@ std::vector<int32_t> CandidateIndex::TopKSet(const topk::LinearFunction& f,
                      << " requested from a band built for k = " << k_;
   // Band ids ascend with original ids, so the sorted band-local set maps to
   // a sorted original-id set.
-  std::vector<int32_t> ids = ta_->TopKSet(f, k);
+  std::vector<int32_t> ids = topk::TopKSetScan(*band_blocks_, f, k);
   for (int32_t& id : ids) id = band_ids_[static_cast<size_t>(id)];
   return ids;
-}
-
-int32_t CandidateIndex::Top1(const topk::LinearFunction& f) const {
-  return TopK(f, 1).front();
 }
 
 int64_t CandidateIndex::MinRankOfSubset(
@@ -409,7 +401,6 @@ size_t CandidateIndex::ApproxBytes() const {
   bytes += band_ids_.capacity() * sizeof(int32_t);
   bytes += in_band_.capacity() * sizeof(char);
   if (band_blocks_ != nullptr) bytes += band_blocks_->ApproxBytes();
-  if (ta_ != nullptr) bytes += ta_->ApproxBytes();
   if (band_sweep_ != nullptr) bytes += band_sweep_->ApproxBytes();
   return bytes;
 }

@@ -12,7 +12,6 @@
 #include "data/column_blocks.h"
 #include "data/dataset.h"
 #include "topk/scoring.h"
-#include "topk/threshold_algorithm.h"
 
 namespace rrr {
 namespace core {
@@ -71,8 +70,8 @@ bool AlwaysOutranks(const double* j_row, int32_t j, const double* i_row,
 
 /// \brief k-skyband candidate-pruning layer: the set of tuples that can
 /// appear in the top-k of *some* non-negative linear ranking function,
-/// materialized as a compact dataset + Threshold Algorithm index so every
-/// top-k hot path (MDRC corner evaluations, K-SETr draws, k-set-graph
+/// materialized as a compact dataset + columnar mirror so every top-k hot
+/// path (MDRC corner evaluations, K-SETr draws, k-set-graph
 /// candidates, the sampled evaluator, the 2D sweep) runs over it instead of
 /// the raw dataset.
 ///
@@ -164,15 +163,13 @@ class CandidateIndex {
   const data::ColumnBlocks* band_blocks() const { return band_blocks_.get(); }
 
   /// Ids of the top-k' tuples of the FULL dataset under `f`, best first —
-  /// bit-identical to topk::TopK(full, f, k') for k' <= k(), answered by a
-  /// Threshold Algorithm query over the band. RRR_CHECKs k' <= k().
+  /// bit-identical to topk::TopK(full, f, k') for k' <= k(), answered by the
+  /// kernel's buffered selection (topk::TopKScan) over band_blocks(), with
+  /// block skip and scan counters as for any mirror. RRR_CHECKs k' <= k().
   std::vector<int32_t> TopK(const topk::LinearFunction& f, size_t k) const;
 
   /// TopK + ascending-sorted ids — bit-identical to topk::TopKSet.
   std::vector<int32_t> TopKSet(const topk::LinearFunction& f, size_t k) const;
-
-  /// The single best tuple under `f` (== TopK(f, 1).front()).
-  int32_t Top1(const topk::LinearFunction& f) const;
 
   /// \brief Exact minimum rank of `subset` under `f` over the FULL dataset —
   /// bit-identical to topk::MinRankOfSubset — computed over the band when
@@ -193,9 +190,9 @@ class CandidateIndex {
                               nullptr) const;
 
   /// Approximate heap footprint in bytes: the band dataset, its id maps,
-  /// the band's columnar mirror, the Threshold Algorithm index, and the 2D
-  /// band sweep. The service layer's eviction budget reads this; it is an
-  /// estimate, not an allocation census.
+  /// the band's columnar mirror, and the 2D band sweep. The service layer's
+  /// eviction budget reads this; it is an estimate, not an allocation
+  /// census.
   size_t ApproxBytes() const;
 
  private:
@@ -208,7 +205,6 @@ class CandidateIndex {
   std::vector<int32_t> band_ids_;
   std::vector<char> in_band_;  // indexed by original id
   std::unique_ptr<data::ColumnBlocks> band_blocks_;
-  std::unique_ptr<topk::ThresholdAlgorithmIndex> ta_;
   std::unique_ptr<AngularSweep> band_sweep_;  // d == 2 only
 };
 

@@ -266,10 +266,10 @@ Result<QueryResult> RrrEngine::RunAlgorithm(const PreparedDataset& prepared,
       result.diagnostics.sampler_from_cache = sample_hit;
       result.diagnostics.reused_prepared_artifacts = sample_hit;
       // The mirror only feeds the sampler's full-dataset draw path;
-      // SharedKSets skips it when an index or the prefilter supersedes it,
-      // and a cached sample means no scans ran at all.
+      // SharedKSets skips it when an index supersedes it, and a cached
+      // sample means no scans ran at all.
       result.diagnostics.columnar_kernel =
-          !sample_hit && candidates == nullptr && !sampler.skyband_prefilter;
+          !sample_hit && candidates == nullptr;
       if (candidates != nullptr) {
         result.diagnostics.skyband_size = candidates->band_size();
         if (!sample_hit) {

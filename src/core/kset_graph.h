@@ -38,7 +38,7 @@ struct KSetGraphOptions {
 ///
 /// `candidates` (may be null; the legacy free-function path passes none and
 /// keeps the local full scans) answers the seed top-k queries from the
-/// shared TA/skyband index and restricts the swap-candidate loop to the
+/// shared skyband index and restricts the swap-candidate loop to the
 /// k-skyband. That restriction is exactly output-preserving: a k-set
 /// containing a tuple with >= k always-outrankers can never pass the strict
 /// separation LP (one of the outrankers is outside the set and scores at

@@ -1,14 +1,11 @@
 #include "core/kset_sampler.h"
 
 #include <algorithm>
-#include <memory>
 
 #include "common/parallel.h"
 #include "common/random.h"
 #include "core/candidate_index.h"
-#include "geometry/dominance.h"
 #include "topk/scoring.h"
-#include "topk/threshold_algorithm.h"
 #include "topk/topk.h"
 
 namespace rrr {
@@ -34,50 +31,9 @@ Result<KSetSampleResult> SampleKSets(const data::Dataset& dataset, size_t k,
         << "SampleKSets: blocks mirror a different dataset";
   }
 
-  // Optional sound search-space reduction: only k-skyband members can ever
-  // appear in a top-k, and their relative id order (the tie-break) is
-  // preserved by the compaction. A shared CandidateIndex supersedes the
-  // per-call reduction below (same effect, amortized across calls).
-  const data::Dataset* search = &dataset;
-  data::Dataset band_data;
-  std::vector<int32_t> band_ids;
-  if (options.skyband_prefilter && candidates == nullptr) {
-    band_ids = geometry::KSkyband(dataset.flat(), dataset.size(),
-                                  dataset.dims(), k);
-    std::vector<double> cells;
-    cells.reserve(band_ids.size() * dataset.dims());
-    for (int32_t id : band_ids) {
-      const double* r = dataset.row(static_cast<size_t>(id));
-      cells.insert(cells.end(), r, r + dataset.dims());
-    }
-    Result<data::Dataset> compacted = data::Dataset::FromFlat(
-        std::move(cells), band_ids.size(), dataset.dims());
-    RRR_CHECK(compacted.ok()) << compacted.status().ToString();
-    band_data = std::move(compacted).value();
-    search = &band_data;
-  }
-
-  // The mirror only applies while the search space IS the caller's dataset;
-  // the skyband prefilter above swaps in a compacted copy it cannot cover.
-  const data::ColumnBlocks* search_blocks =
-      search == &dataset ? blocks : nullptr;
-  std::unique_ptr<topk::ThresholdAlgorithmIndex> ta_index;
-  if (options.use_threshold_algorithm && candidates == nullptr) {
-    ta_index =
-        std::make_unique<topk::ThresholdAlgorithmIndex>(*search,
-                                                        search_blocks);
-  }
-
   auto top_k_set = [&](const topk::LinearFunction& f) {
     if (candidates != nullptr) return candidates->TopKSet(f, k);
-    std::vector<int32_t> ids = ta_index
-                                   ? ta_index->TopKSet(f, k)
-                                   : topk::TopKSet(*search, f, k,
-                                                   search_blocks);
-    if (options.skyband_prefilter) {
-      for (int32_t& id : ids) id = band_ids[static_cast<size_t>(id)];
-    }
-    return ids;
+    return topk::TopKSet(dataset, f, k, blocks);
   };
 
   Rng rng(options.seed);

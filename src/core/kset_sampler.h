@@ -22,17 +22,6 @@ struct KSetSamplerOptions {
   size_t termination_count = 100;
   /// Absolute cap on drawn samples (safety valve).
   size_t max_samples = 50'000'000;
-  /// Restrict per-sample top-k computation to the k-skyband (tuples
-  /// dominated by fewer than k others) — a sound prefilter, since no other
-  /// tuple can enter any top-k. Pays the O(n^2 d) band computation once and
-  /// wins when many samples are drawn on dominance-heavy data (see the
-  /// micro_skyband ablation). Off by default to match the paper.
-  bool skyband_prefilter = false;
-  /// Answer per-sample top-k queries with the Threshold Algorithm index
-  /// (topk/threshold_algorithm.h) instead of the linear scan. Pays
-  /// O(d n log n) once; each query then stops early on correlated data.
-  /// Results are identical either way. Composes with skyband_prefilter.
-  bool use_threshold_algorithm = false;
   /// Worker threads for the per-sample top-k evaluations: 0 = hardware
   /// concurrency, 1 = serial. Ranking functions are always drawn from the
   /// single seeded Rng in sequence and their k-sets are recorded in draw
@@ -58,25 +47,21 @@ struct KSetSampleResult {
 /// the sample is therefore a lower bound certificate, not a proof (Section
 /// 5.2.1 discusses why misses are rare and benign in practice).
 ///
-/// Cost is O(samples * n (d + log k)) with the default linear-scan top-k;
-/// the skyband prefilter and Threshold Algorithm options trade one-off
-/// indexing for cheaper per-sample queries (identical output either way).
+/// Cost is O(samples * n (d + log k)) with the full-dataset scan; a
+/// candidate index (below) shrinks n to its k-skyband.
 ///
 /// Fails with InvalidArgument for k == 0 or an empty dataset; returns
 /// Cancelled/DeadlineExceeded (no partial collection) when `ctx` preempts
 /// the draw loop, which is checked between samples (serial) or between
 /// batches (parallel).
 ///
-/// `candidates` (may be null) answers every per-sample top-k with a
-/// Threshold Algorithm query over its k-skyband (core/candidate_index.h)
-/// instead of the per-call prefilter/index the boolean options rebuild from
-/// scratch; the sampled collection is bit-identical in all cases (the
-/// sampler's invariance contract). It must be built over `dataset` with
-/// candidates->k() >= k, and takes precedence over the two query-strategy
-/// flags above. `blocks` (may be null, must mirror `dataset`) routes the
-/// full-dataset scans — the default draw path, and the TA index's dense
-/// queries — through the blocked scoring kernel; it is ignored when the
-/// skyband prefilter compacts the search space to a different dataset.
+/// `candidates` (may be null) answers every per-sample top-k with a kernel
+/// scan over its k-skyband mirror (core/candidate_index.h); the sampled
+/// collection is bit-identical either way (the sampler's invariance
+/// contract). It must be built over `dataset` with candidates->k() >= k.
+/// `blocks` (may be null, must mirror `dataset`) routes the full-dataset
+/// scans through the blocked scoring kernel; it is unused when
+/// `candidates` is given.
 Result<KSetSampleResult> SampleKSets(const data::Dataset& dataset, size_t k,
                                      const KSetSamplerOptions& options = {},
                                      const ExecContext& ctx = {},

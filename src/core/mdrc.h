@@ -131,8 +131,8 @@ class CornerTopKCache {
   /// The (sorted-set) top-k of the corner function at `angles`, memoized
   /// under key (k, angles). Thread-safe; `counters` (may be null) receives
   /// this call's hit/miss attribution. `candidates` (may be null) answers
-  /// cache misses with a Threshold Algorithm query over its k-skyband
-  /// instead of a full scan — bit-identical by the CandidateIndex contract,
+  /// cache misses with a kernel scan over its k-skyband mirror instead of
+  /// a full scan — bit-identical by the CandidateIndex contract,
   /// so entries computed with and without an index are interchangeable; it
   /// must be built over this cache's dataset with candidates->k() >= k.
   /// `blocks` (may be null, must mirror this cache's dataset) routes

@@ -176,12 +176,11 @@ Result<std::shared_ptr<const KSetSampleResult>> PreparedDataset::SharedKSets(
       [this, k, &options, &ctx,
        candidates]() -> Result<KSetSampleResult> {
         RRR_FAILPOINT("core.artifact.ksets");
-        // The draws scan the full dataset only without an index and
-        // without the skyband prefilter's compaction; only then is the
-        // shared columnar mirror fetched (bit-identical collection either
-        // way — which is also why the mirror does not key the cache).
+        // The draws scan the full dataset only without an index; only then
+        // is the shared columnar mirror fetched (bit-identical collection
+        // either way — which is also why the mirror does not key the cache).
         std::shared_ptr<const data::ColumnBlocks> blocks;
-        if (candidates == nullptr && !options.skyband_prefilter) {
+        if (candidates == nullptr) {
           RRR_ASSIGN_OR_RETURN(
               blocks, SharedColumnBlocks(options.threads, ctx));
         }

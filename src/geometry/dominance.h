@@ -27,9 +27,11 @@ std::vector<int32_t> Skyline(const double* rows, size_t n, size_t d);
 /// A tuple dominated by >= k others can never rank in the top-k of any
 /// monotone — in particular any linear — function, so the k-skyband is a
 /// sound search-space prefilter for every RRR algorithm (an optimization
-/// the paper leaves implicit; see the micro_skyband ablation bench).
-/// Exact duplicates count as dominators of the higher-indexed copy so the
-/// filter composes with the library-wide id tie-break. O(n^2 d).
+/// the paper leaves implicit). The solvers prune through
+/// core::CandidateIndex; this O(n^2 d) scan is the plain-dominance
+/// reference the property harness and dominance tests check soundness
+/// against. Exact duplicates count as dominators of the higher-indexed copy
+/// so the filter composes with the library-wide id tie-break.
 std::vector<int32_t> KSkyband(const double* rows, size_t n, size_t d,
                               size_t k);
 

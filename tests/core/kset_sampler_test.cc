@@ -111,59 +111,6 @@ TEST(KSetSamplerTest, MaxSamplesCapIsHonored) {
   EXPECT_EQ(sample->samples_drawn, 50u);
 }
 
-TEST(KSetSamplerTest, SkybandPrefilterIsTransparent) {
-  // The prefilter is a pure optimization: identical k-sets, identical ids.
-  const data::Dataset ds = data::GenerateCorrelated(120, 3, 21, 0.8);
-  const size_t k = 6;
-  KSetSamplerOptions plain;
-  plain.seed = 77;
-  KSetSamplerOptions filtered = plain;
-  filtered.skyband_prefilter = true;
-  Result<KSetSampleResult> a = SampleKSets(ds, k, plain);
-  Result<KSetSampleResult> b = SampleKSets(ds, k, filtered);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ASSERT_EQ(a->ksets.size(), b->ksets.size());
-  for (size_t i = 0; i < a->ksets.size(); ++i) {
-    EXPECT_EQ(a->ksets.sets()[i].ids, b->ksets.sets()[i].ids);
-  }
-}
-
-TEST(KSetSamplerTest, ThresholdAlgorithmEngineIsTransparent) {
-  const data::Dataset ds = data::GenerateDotLike(150, 31).ProjectPrefix(3);
-  const size_t k = 8;
-  KSetSamplerOptions plain;
-  plain.seed = 55;
-  KSetSamplerOptions ta = plain;
-  ta.use_threshold_algorithm = true;
-  Result<KSetSampleResult> a = SampleKSets(ds, k, plain);
-  Result<KSetSampleResult> b = SampleKSets(ds, k, ta);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ASSERT_EQ(a->ksets.size(), b->ksets.size());
-  for (size_t i = 0; i < a->ksets.size(); ++i) {
-    EXPECT_EQ(a->ksets.sets()[i].ids, b->ksets.sets()[i].ids);
-  }
-}
-
-TEST(KSetSamplerTest, TaAndSkybandComposeTransparently) {
-  const data::Dataset ds = data::GenerateCorrelated(200, 3, 32, 0.85);
-  const size_t k = 5;
-  KSetSamplerOptions plain;
-  plain.seed = 56;
-  KSetSamplerOptions both = plain;
-  both.use_threshold_algorithm = true;
-  both.skyband_prefilter = true;
-  Result<KSetSampleResult> a = SampleKSets(ds, k, plain);
-  Result<KSetSampleResult> b = SampleKSets(ds, k, both);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ASSERT_EQ(a->ksets.size(), b->ksets.size());
-  for (size_t i = 0; i < a->ksets.size(); ++i) {
-    EXPECT_EQ(a->ksets.sets()[i].ids, b->ksets.sets()[i].ids);
-  }
-}
-
 TEST(KSetSamplerTest, KGreaterEqualNGivesOneSet) {
   const data::Dataset ds = data::GenerateUniform(10, 3, 9);
   Result<KSetSampleResult> sample = SampleKSets(ds, 10);

@@ -112,25 +112,18 @@ TEST(ParallelEquivalenceTest, KSetSamplerIdenticalAcrossThreadCounts) {
 
 TEST(ParallelEquivalenceTest, KSetSamplerOptionsComposeWithThreads) {
   const data::Dataset ds = data::GenerateCorrelated(400, 3, 17);
-  for (bool skyband : {false, true}) {
-    for (bool ta : {false, true}) {
-      KSetSamplerOptions serial;
-      serial.threads = 1;
-      serial.termination_count = 40;
-      serial.skyband_prefilter = skyband;
-      serial.use_threshold_algorithm = ta;
-      KSetSamplerOptions parallel = serial;
-      parallel.threads = kThreads;
-      Result<KSetSampleResult> a = SampleKSets(ds, 8, serial);
-      Result<KSetSampleResult> b = SampleKSets(ds, 8, parallel);
-      ASSERT_TRUE(a.ok());
-      ASSERT_TRUE(b.ok());
-      ASSERT_EQ(a->ksets.size(), b->ksets.size())
-          << "skyband=" << skyband << " ta=" << ta;
-      for (size_t i = 0; i < a->ksets.size(); ++i) {
-        EXPECT_EQ(a->ksets.sets()[i].ids, b->ksets.sets()[i].ids);
-      }
-    }
+  KSetSamplerOptions serial;
+  serial.threads = 1;
+  serial.termination_count = 40;
+  KSetSamplerOptions parallel = serial;
+  parallel.threads = kThreads;
+  Result<KSetSampleResult> a = SampleKSets(ds, 8, serial);
+  Result<KSetSampleResult> b = SampleKSets(ds, 8, parallel);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  ASSERT_EQ(a->ksets.size(), b->ksets.size());
+  for (size_t i = 0; i < a->ksets.size(); ++i) {
+    EXPECT_EQ(a->ksets.sets()[i].ids, b->ksets.sets()[i].ids);
   }
 }
 

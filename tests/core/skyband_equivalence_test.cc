@@ -26,6 +26,7 @@
 #include "data/generators.h"
 #include "eval/rank_regret.h"
 #include "topk/rank.h"
+#include "topk/score_kernel.h"
 #include "topk/topk.h"
 #include "test_util.h"
 
@@ -117,16 +118,30 @@ std::vector<topk::LinearFunction> ProbeFunctions(size_t d, uint64_t seed) {
 }
 
 TEST(SkybandEquivalenceTest, TopKMatchesFullScanOnEveryFamily) {
-  for (const Family& family : Families(300, 3, 7)) {
+  std::vector<Family> families = Families(300, 3, 7);
+  // Large enough that the band spans many 64-row blocks, so block skip
+  // fires inside the band scan.
+  families.push_back({"uniform-5000x4", data::GenerateUniform(5000, 4, 8)});
+  for (const Family& family : families) {
     for (size_t k : {1u, 7u, 40u}) {
       const auto index = MustBuild(family.data, k);
-      for (const topk::LinearFunction& f : ProbeFunctions(3, 99)) {
-        EXPECT_EQ(index->TopK(f, k), topk::TopK(family.data, f, k))
-            << family.name << " k=" << k;
-        EXPECT_EQ(index->TopKSet(f, k), topk::TopKSet(family.data, f, k))
-            << family.name << " k=" << k;
-        EXPECT_EQ(index->Top1(f), topk::TopK(family.data, f, 1).front())
-            << family.name;
+      const topk::ScanStats before = topk::ScanCountersSnapshot();
+      for (const topk::LinearFunction& f :
+           ProbeFunctions(family.data.dims(), 99)) {
+        // The band contract covers every k' <= k, not just k itself.
+        for (size_t kq : {size_t{1}, k / 2, k}) {
+          EXPECT_EQ(index->TopK(f, kq), topk::TopK(family.data, f, kq))
+              << family.name << " k=" << k << " k'=" << kq;
+          EXPECT_EQ(index->TopKSet(f, kq), topk::TopKSet(family.data, f, kq))
+              << family.name << " k=" << k << " k'=" << kq;
+        }
+      }
+      const data::ColumnBlocks& mirror = *index->band_blocks();
+      if (mirror.num_blocks() >= 8 &&
+          topk::BlockSkipResolved(topk::BlockSkip::kAuto, mirror)) {
+        EXPECT_GT(topk::ScanCountersSnapshot().blocks_skipped,
+                  before.blocks_skipped)
+            << family.name << " k=" << k << ": no band block was skipped";
       }
     }
   }

@@ -58,13 +58,12 @@ std::vector<Fault> GenerateSchedule(uint64_t seed) {
   const char* artifact_sites[] = {
       "core.artifact.candidate_index", "core.artifact.column_blocks",
       "core.artifact.skyline",         "core.artifact.corner_topk",
-      "core.artifact.ta_index",
   };
   std::vector<Fault> faults;
   // 1-2 artifact faults: these must DEGRADE queries, never corrupt them.
   const int artifacts = 1 + static_cast<int>(rng.UniformInt(0, 1));
   for (int i = 0; i < artifacts; ++i) {
-    const char* site = artifact_sites[rng.UniformInt(0, 4)];
+    const char* site = artifact_sites[rng.UniformInt(0, 3)];
     std::string spec;
     switch (rng.UniformInt(0, 2)) {
       case 0:

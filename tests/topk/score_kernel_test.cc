@@ -28,7 +28,6 @@
 #include "eval/rank_regret.h"
 #include "eval/regret_ratio.h"
 #include "topk/rank.h"
-#include "topk/threshold_algorithm.h"
 #include "topk/topk.h"
 #include "test_util.h"
 
@@ -236,22 +235,6 @@ TEST(ScoreKernelTest, MaxScoreIgnoresNaNLikeTheLegacyFold) {
   const data::Dataset all_nan = testing::MakeDataset({{nan}, {nan}});
   EXPECT_EQ(MaxScore(MustBuild(all_nan), f),
             -std::numeric_limits<double>::infinity());
-}
-
-TEST(ScoreKernelTest, ThresholdAlgorithmDenseScanEscapeIsBitIdentical) {
-  for (const Family& family : Families(400, 3, 67)) {
-    const data::ColumnBlocks blocks = MustBuild(family.data);
-    ThresholdAlgorithmIndex plain(family.data);
-    ThresholdAlgorithmIndex mirrored(family.data, &blocks);
-    const size_t n = family.data.size();
-    for (const LinearFunction& f : ProbeFunctions(3, 71)) {
-      // Spans both sides of the dense-scan threshold (k * 4 >= n).
-      for (size_t k : {size_t{2}, n / 8, n / 4, n / 2, n}) {
-        EXPECT_EQ(mirrored.TopK(f, k), plain.TopK(f, k))
-            << family.name << " k=" << k;
-      }
-    }
-  }
 }
 
 TEST(ScoreKernelTest, AngularSweepInitialOrderMatchesWithMirror) {
