@@ -1,5 +1,7 @@
 #include "common/string_util.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -47,6 +49,17 @@ std::string_view Trim(std::string_view s) {
 Result<double> ParseDouble(std::string_view s) {
   s = Trim(s);
   if (s.empty()) return Status::InvalidArgument("empty numeric field");
+  // from_chars parses the view in place and rounds like strtod. Whatever it
+  // does not consume completely and cleanly (leading '+', hex, overflow,
+  // underflow, garbage) takes the strtod path below, as does every NaN, so
+  // NaN signs and payloads also come from strtod.
+  double fast = 0.0;
+  const std::from_chars_result parsed =
+      std::from_chars(s.data(), s.data() + s.size(), fast);
+  if (parsed.ec == std::errc() && parsed.ptr == s.data() + s.size() &&
+      !std::isnan(fast)) {
+    return fast;
+  }
   // strtod needs a NUL-terminated buffer.
   std::string buf(s);
   char* end = nullptr;

@@ -18,7 +18,9 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 /// Removes leading and trailing ASCII whitespace.
 std::string_view Trim(std::string_view s);
 
-/// Parses a double; rejects trailing garbage and empty input.
+/// Parses a double after Trim: accepts exactly what strtod consumes in full
+/// (so also "+1", hex, "inf", "nan", out-of-range values as inf or 0);
+/// rejects trailing garbage and empty input.
 Result<double> ParseDouble(std::string_view s);
 
 /// printf-style formatting into a std::string.

@@ -235,14 +235,15 @@ Result<QueryResult> RrrEngine::RunAlgorithm(const PreparedDataset& prepared,
       // With a candidate index the scans run over the band, not the
       // mirror — report the mirror only when it is what actually scanned.
       result.diagnostics.columnar_kernel = candidates == nullptr;
-      // The prepared sweep replaces the per-call O(n log n) initial sort;
-      // with an index the sweep runs over the band instead.
+      // With an index FindRanges sweeps the index's band; otherwise the
+      // prepared full-data sweep (built on first use) replaces the per-call
+      // O(n log n) initial sort.
       RRR_ASSIGN_OR_RETURN(
           result.representative,
-          Solve2dRrr(dataset, k, defaults.rrr2d, ctx, prepared.sweep(),
+          Solve2dRrr(dataset, k, defaults.rrr2d, ctx,
+                     candidates == nullptr ? prepared.sweep() : nullptr,
                      candidates.get(), blocks.get()));
-      result.diagnostics.reused_prepared_artifacts =
-          prepared.sweep() != nullptr;
+      result.diagnostics.reused_prepared_artifacts = prepared.dims() == 2;
       if (candidates != nullptr) {
         result.diagnostics.skyband_size = candidates->band_size();
       }

@@ -28,9 +28,6 @@ PreparedDataset::PreparedDataset(data::Dataset dataset, const Options& options,
       version_(version),
       kset_cache_(options.max_kset_cache_entries),
       candidate_cache_(options.max_candidate_cache_entries) {
-  if (data_.dims() == 2) {
-    sweep_ = std::make_unique<AngularSweep>(data_);
-  }
   corner_cache_ = std::make_unique<CornerTopKCache>(
       data_, options.max_corner_cache_entries);
 }
@@ -39,8 +36,7 @@ Result<std::shared_ptr<const PreparedDataset>> PreparedDataset::Create(
     data::Dataset dataset, const Options& options) {
   if (dataset.empty()) return Status::InvalidArgument("empty dataset");
   RRR_RETURN_IF_ERROR(dataset.CheckFinite());
-  // Not make_shared: the constructor is private, and the sweep must be
-  // built against the dataset's final resting address.
+  // Not make_shared: the constructor is private.
   return std::shared_ptr<const PreparedDataset>(
       new PreparedDataset(std::move(dataset), options, NewDatasetOrigin()));
 }
@@ -79,6 +75,15 @@ Result<std::shared_ptr<const PreparedDataset>> PreparedDataset::CreateVersioned(
     prepared->candidate_counts_.counts = std::move(seed.counts);
   }
   return std::shared_ptr<const PreparedDataset>(std::move(prepared));
+}
+
+const AngularSweep* PreparedDataset::sweep() const {
+  if (data_.dims() != 2) return nullptr;
+  std::call_once(sweep_once_, [this] {
+    sweep_ = std::make_unique<AngularSweep>(data_);
+    sweep_built_.store(true, std::memory_order_release);
+  });
+  return sweep_.get();
 }
 
 Result<std::shared_ptr<const data::ColumnBlocks>>
@@ -275,7 +280,9 @@ size_t KSetSampleBytes(const KSetSampleResult& sample) {
 PreparedDataset::ArtifactBytes PreparedDataset::ApproxArtifactBytes() const {
   ArtifactBytes bytes;
   bytes.dataset = data_.size() * data_.dims() * sizeof(double);
-  if (sweep_ != nullptr) bytes.dataset += sweep_->ApproxBytes();
+  if (sweep_built_.load(std::memory_order_acquire)) {
+    bytes.dataset += sweep_->ApproxBytes();
+  }
   if (std::shared_ptr<const data::ColumnBlocks> blocks =
           column_blocks_.Peek()) {
     // Includes the per-block column bounds (2 * d doubles per block) that

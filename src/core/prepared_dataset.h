@@ -1,9 +1,11 @@
 #ifndef RRR_CORE_PREPARED_DATASET_H_
 #define RRR_CORE_PREPARED_DATASET_H_
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -223,8 +225,9 @@ class KeyedLazyCache {
 ///
 /// Owned artifacts:
 ///  - the validated (non-empty, all-finite) dataset itself;
-///  - for d == 2, the AngularSweep (initial ranked order) behind FindRanges
-///    and the exact evaluator, built once instead of per call;
+///  - for d == 2, the AngularSweep (initial ranked order) behind full-data
+///    FindRanges and the exact evaluator, built on first use instead of per
+///    call (queries the candidate index serves never build it);
 ///  - lazily-materialized shared caches: the skyline prefilter, the
 ///    convex-maxima LP results (the exact k = 1 representative), K-SETr
 ///    samples keyed by (k, sampler options), and the MDRC corner-top-k
@@ -273,10 +276,10 @@ class PreparedDataset {
   };
 
   /// Validates `dataset` (non-empty, every cell finite — InvalidArgument
-  /// otherwise) and takes ownership. For d == 2 also builds the shared
-  /// angular sweep (O(n log n)). Data is assumed already normalized
-  /// higher-is-better, as every solver requires. The prepared dataset gets
-  /// a fresh version token (its own lineage, ordinal 0).
+  /// otherwise) and takes ownership; builds no artifact (sweep() sorts on
+  /// its first call). Data is assumed already normalized higher-is-better,
+  /// as every solver requires. The prepared dataset gets a fresh version
+  /// token (its own lineage, ordinal 0).
   static Result<std::shared_ptr<const PreparedDataset>> Create(
       data::Dataset dataset, const Options& options);
   static Result<std::shared_ptr<const PreparedDataset>> Create(
@@ -298,8 +301,13 @@ class PreparedDataset {
   /// component. Distinct row states never share a token.
   DatasetVersion version() const { return version_; }
 
-  /// Shared sweep artifacts; non-null iff dims() == 2.
-  const AngularSweep* sweep() const { return sweep_.get(); }
+  /// \brief Shared full-data sweep; non-null iff dims() == 2.
+  ///
+  /// Built once, on the first call (the O(n log n) initial sort), and
+  /// shared by every later caller; concurrent first callers wait for the
+  /// one build. Never evicted, so the pointer lives as long as this object.
+  /// Counted in ArtifactBytes::dataset once built.
+  const AngularSweep* sweep() const;
 
   /// \brief Shared columnar mirror of the dataset (data/column_blocks.h),
   /// built lazily once — one O(n d) transpose — and handed by the engine to
@@ -404,7 +412,7 @@ class PreparedDataset {
   /// \brief Sheds every shared artifact cache (evictable-cell protocol):
   /// ready lazy cells revert to idle, keyed caches and the corner memo are
   /// emptied, cached candidate counts are dropped. The dataset itself (and
-  /// the d == 2 sweep, which is construction-owned) stay.
+  /// the d == 2 sweep, whose raw pointer callers may hold) stay.
   ///
   /// Returns the approximate bytes freed. Never races an in-flight query:
   /// queries hold artifacts by shared_ptr, so eviction only severs the
@@ -456,7 +464,13 @@ class PreparedDataset {
   data::Dataset data_;
   Options options_;
   DatasetVersion version_;
-  std::unique_ptr<AngularSweep> sweep_;  // d == 2 only
+  // d == 2 only, filled under sweep_once_ by the first sweep() call.
+  mutable std::once_flag sweep_once_;
+  mutable std::unique_ptr<AngularSweep> sweep_;
+  // rrr-lockfree: the sweep() builder store-releases it after filling
+  // sweep_; ApproxArtifactBytes, which bypasses the once_flag, acquires it
+  // before reading sweep_.
+  mutable std::atomic<bool> sweep_built_{false};
   std::unique_ptr<CornerTopKCache> corner_cache_;
   mutable internal::LazyCell<data::ColumnBlocks> column_blocks_;
   mutable internal::LazyCell<std::vector<int32_t>> skyline_;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <fstream>
 #include <sstream>
+#include <string_view>
+#include <vector>
 
 #include "common/failpoint.h"
 #include "common/string_util.h"
@@ -12,45 +14,54 @@ namespace data {
 
 namespace {
 
-/// Splits one CSV record into fields, honoring RFC-4180 quoting: a field
+/// Splits one CSV record into `fields`, honoring RFC-4180 quoting: a field
 /// wrapped in double quotes may contain the separator, and a doubled quote
-/// inside a quoted field is a literal quote. Returns InvalidArgument for a
-/// quote that is never closed (the caller attaches the line number).
-Result<std::vector<std::string>> SplitCsvRecord(std::string_view line,
-                                                char sep) {
-  std::vector<std::string> fields;
-  std::string current;
-  bool in_quotes = false;
+/// inside a quoted field is a literal quote. A quote opens a quoted field
+/// only at the field's start (like common parsers); characters after the
+/// closing quote, up to the next separator, are kept literally.
+///
+/// Unquoted fields are views into `line`. Quoted fields are unescaped into
+/// `scratch`, which is reserved to the record's length first: unescaping
+/// never lengthens a field, so it never reallocates and the views stay
+/// valid until the next call. Returns InvalidArgument for a quote that is
+/// never closed (the caller attaches the line number).
+Status SplitRecord(std::string_view line, char sep, std::string* scratch,
+                   std::vector<std::string_view>* fields) {
+  fields->clear();
+  scratch->clear();
+  scratch->reserve(line.size());
   size_t i = 0;
-  while (i < line.size()) {
-    const char c = line[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          current.push_back('"');  // escaped quote
+  for (;;) {
+    const bool quoted = i < line.size() && line[i] == '"';
+    const size_t unescaped = scratch->size();
+    if (quoted) {
+      for (++i;;) {
+        if (i == line.size()) {
+          return Status::InvalidArgument("unterminated quoted field");
+        }
+        const char c = line[i++];
+        if (c != '"') {
+          scratch->push_back(c);
+        } else if (i < line.size() && line[i] == '"') {
+          scratch->push_back('"');  // escaped quote
           ++i;
         } else {
-          in_quotes = false;
+          break;
         }
-      } else {
-        current.push_back(c);
       }
-    } else if (c == '"' && current.empty()) {
-      // Opening quote (only honored at field start, like common parsers).
-      in_quotes = true;
-    } else if (c == sep) {
-      fields.push_back(std::move(current));
-      current.clear();
-    } else {
-      current.push_back(c);
     }
-    ++i;
+    size_t end = line.find(sep, i);
+    if (end == std::string_view::npos) end = line.size();
+    if (quoted) {
+      scratch->append(line.substr(i, end - i));
+      fields->emplace_back(scratch->data() + unescaped,
+                           scratch->size() - unescaped);
+    } else {
+      fields->push_back(line.substr(i, end - i));
+    }
+    if (end == line.size()) return Status::OK();
+    i = end + 1;  // a trailing separator yields a last, empty field
   }
-  if (in_quotes) {
-    return Status::InvalidArgument("unterminated quoted field");
-  }
-  fields.push_back(std::move(current));
-  return fields;
 }
 
 /// True when `field` must be quoted on output to survive a round trip.
@@ -92,11 +103,12 @@ Result<Dataset> ReadCsv(const std::string& path, const CsvOptions& options) {
     in.clear();
   }
   std::string line;
+  std::string scratch;                  // unescaped quoted fields
+  std::vector<std::string_view> fields;  // one record's fields, reused
   std::vector<std::string> names;
   size_t d = 0;
   bool first = true;
   std::vector<double> cells;
-  std::vector<double> row;  // hoisted: one buffer for every record
   size_t n = 0;
   size_t line_no = 0;
   // std::getline yields the final record whether or not the file ends with
@@ -107,19 +119,17 @@ Result<Dataset> ReadCsv(const std::string& path, const CsvOptions& options) {
     std::string_view record = line;
     if (!record.empty() && record.back() == '\r') record.remove_suffix(1);
     if (Trim(record).empty()) continue;
-    Result<std::vector<std::string>> split =
-        SplitCsvRecord(record, options.separator);
+    const Status split =
+        SplitRecord(record, options.separator, &scratch, &fields);
     if (!split.ok()) {
       if (options.skip_bad_rows) continue;
       return Status::InvalidArgument(
-          StrFormat("line %zu: %s", line_no,
-                    split.status().message().c_str()));
+          StrFormat("line %zu: %s", line_no, split.message().c_str()));
     }
-    std::vector<std::string>& fields = *split;
     if (first) {
       first = false;
       if (options.has_header) {
-        for (auto& f : fields) names.emplace_back(Trim(f));
+        for (std::string_view f : fields) names.emplace_back(Trim(f));
         d = names.size();
         continue;
       }
@@ -153,24 +163,26 @@ Result<Dataset> ReadCsv(const std::string& path, const CsvOptions& options) {
                                       : (approx_rows + 1) * d;
       cells.reserve(std::min(approx_cells, cap_cells));
     }
-    row.clear();
-    row.reserve(d);
+    // Values go straight into `cells`; a bad row is cut back off.
+    const size_t row_start = cells.size();
     bool bad = false;
-    for (const auto& f : fields) {
+    for (std::string_view f : fields) {
       Result<double> v = ParseDouble(f);
       if (!v.ok()) {
-        bad = true;
         if (!options.skip_bad_rows) {
           return Status::InvalidArgument(
               StrFormat("line %zu: %s", line_no,
                         v.status().message().c_str()));
         }
+        bad = true;
         break;
       }
-      row.push_back(*v);
+      cells.push_back(*v);
     }
-    if (bad) continue;
-    cells.insert(cells.end(), row.begin(), row.end());
+    if (bad) {
+      cells.resize(row_start);
+      continue;
+    }
     ++n;
   }
   return Dataset::FromFlat(std::move(cells), n, d, std::move(names));

@@ -1,8 +1,13 @@
 #include "data/csv.h"
 
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <random>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #ifndef _WIN32
 #include <sys/stat.h>
@@ -13,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "data/generators.h"
 
 namespace rrr {
@@ -304,6 +310,313 @@ TEST_F(CsvTest, LargeIngestHeaderlessWithSkips) {
   EXPECT_EQ(ds->size(), kRows);
   EXPECT_EQ(ds->dims(), 3u);
   EXPECT_DOUBLE_EQ(ds->at(kRows - 1, 0), static_cast<double>(kRows - 1));
+}
+
+
+// ---------------------------------------------------------------------------
+// Mutation fuzzer: ReadCsv against a reference reader.
+// ---------------------------------------------------------------------------
+
+// The reference reader: one heap string per field, a copy of every field
+// for strtod. ReadCsv must accept and reject exactly what this does, with
+// the same messages and bit-identical cells.
+Result<std::vector<std::string>> ReferenceSplit(std::string_view line,
+                                                char sep) {
+  std::vector<std::string> fields;
+  std::string current;
+  bool in_quotes = false;
+  for (size_t i = 0; i < line.size(); ++i) {
+    const char c = line[i];
+    if (in_quotes) {
+      if (c == '"') {
+        if (i + 1 < line.size() && line[i + 1] == '"') {
+          current.push_back('"');
+          ++i;
+        } else {
+          in_quotes = false;
+        }
+      } else {
+        current.push_back(c);
+      }
+    } else if (c == '"' && current.empty()) {
+      in_quotes = true;
+    } else if (c == sep) {
+      fields.push_back(std::move(current));
+      current.clear();
+    } else {
+      current.push_back(c);
+    }
+  }
+  if (in_quotes) return Status::InvalidArgument("unterminated quoted field");
+  fields.push_back(std::move(current));
+  return fields;
+}
+
+Result<double> ReferenceParse(std::string_view s) {
+  s = Trim(s);
+  if (s.empty()) return Status::InvalidArgument("empty numeric field");
+  std::string buf(s);
+  char* end = nullptr;
+  const double v = std::strtod(buf.c_str(), &end);
+  if (end != buf.c_str() + buf.size()) {
+    return Status::InvalidArgument("not a number: '" + buf + "'");
+  }
+  return v;
+}
+
+Result<Dataset> ReferenceReadCsv(const std::string& path,
+                                 const CsvOptions& options) {
+  std::ifstream in(path);
+  if (!in.is_open()) {
+    return Status::IoError("cannot open for reading: " + path);
+  }
+  std::string line;
+  std::vector<std::string> names;
+  size_t d = 0;
+  bool first = true;
+  std::vector<double> cells;
+  size_t n = 0;
+  size_t line_no = 0;
+  while (std::getline(in, line)) {
+    ++line_no;
+    std::string_view record = line;
+    if (!record.empty() && record.back() == '\r') record.remove_suffix(1);
+    if (Trim(record).empty()) continue;
+    Result<std::vector<std::string>> split =
+        ReferenceSplit(record, options.separator);
+    if (!split.ok()) {
+      if (options.skip_bad_rows) continue;
+      return Status::InvalidArgument(StrFormat(
+          "line %zu: %s", line_no, split.status().message().c_str()));
+    }
+    const std::vector<std::string>& fields = *split;
+    if (first) {
+      first = false;
+      if (options.has_header) {
+        for (const std::string& f : fields) names.emplace_back(Trim(f));
+        d = names.size();
+        continue;
+      }
+      d = fields.size();
+    }
+    if (fields.size() != d) {
+      if (options.skip_bad_rows) continue;
+      return Status::InvalidArgument(StrFormat(
+          "line %zu: %zu fields, expected %zu", line_no, fields.size(), d));
+    }
+    std::vector<double> row;
+    bool bad = false;
+    for (const std::string& f : fields) {
+      Result<double> v = ReferenceParse(f);
+      if (!v.ok()) {
+        if (!options.skip_bad_rows) {
+          return Status::InvalidArgument(StrFormat(
+              "line %zu: %s", line_no, v.status().message().c_str()));
+        }
+        bad = true;
+        break;
+      }
+      row.push_back(*v);
+    }
+    if (bad) continue;
+    cells.insert(cells.end(), row.begin(), row.end());
+    ++n;
+  }
+  return Dataset::FromFlat(std::move(cells), n, d, std::move(names));
+}
+
+size_t Below(std::mt19937_64* rng, size_t bound) {
+  return bound == 0 ? 0 : static_cast<size_t>((*rng)() % bound);
+}
+
+// Start of the line holding `pos`, and the offset just past its newline.
+std::pair<size_t, size_t> LineAround(const std::string& text, size_t pos) {
+  const size_t nl_before = pos == 0 ? std::string::npos
+                                    : text.rfind('\n', pos - 1);
+  const size_t begin = nl_before == std::string::npos ? 0 : nl_before + 1;
+  const size_t nl_after = text.find('\n', pos);
+  const size_t end = nl_after == std::string::npos ? text.size() : nl_after + 1;
+  return {begin, end};
+}
+
+// A line of about 100 KB: a very wide row, one huge numeric field, or one
+// huge quoted field (with escaped quotes and separators inside).
+std::string LongLine(std::mt19937_64* rng, char sep) {
+  constexpr size_t kBytes = 100 * 1024;
+  std::string line;
+  switch (Below(rng, 3)) {
+    case 0:
+      while (line.size() < kBytes) {
+        line += StrFormat("%.17g", static_cast<double>((*rng)() % 100000) /
+                                       7.0);
+        line.push_back(sep);
+      }
+      line.pop_back();
+      break;
+    case 1:
+      line = "1.";
+      line.append(kBytes, static_cast<char>('0' + Below(rng, 10)));
+      break;
+    default:
+      line = "\"";
+      while (line.size() < kBytes) line += "a\"\"b" + std::string(1, sep);
+      line += "\"";
+      break;
+  }
+  return line + "\n";
+}
+
+void Mutate(std::mt19937_64* rng, char sep, std::string* text) {
+  const size_t pos = Below(rng, text->size() + 1);
+  switch (Below(rng, 12)) {
+    case 0:  // byte flip
+      if (!text->empty()) {
+        (*text)[Below(rng, text->size())] = static_cast<char>(Below(rng, 256));
+      }
+      break;
+    case 1:
+      text->insert(pos, "\"");
+      break;
+    case 2:
+      text->insert(pos, "\"\"");
+      break;
+    case 3:
+      text->insert(pos, 1, sep);
+      break;
+    case 4:
+      text->insert(pos, "\r");
+      break;
+    case 5:
+      text->insert(pos, 1, '\0');
+      break;
+    case 6:  // truncation
+      text->resize(pos);
+      break;
+    case 7: {  // duplicated line
+      if (text->empty()) break;
+      const auto [begin, end] = LineAround(*text, Below(rng, text->size()));
+      const std::string copy = text->substr(begin, end - begin);
+      text->insert(end, copy);
+      break;
+    }
+    case 8: {  // 100 KB line (rarer than the rest: each one costs ~1 ms)
+      if (Below(rng, 3) != 0) break;
+      const size_t at = LineAround(*text, pos).first;
+      text->insert(at, LongLine(rng, sep));
+      break;
+    }
+    case 9: {  // quote one whole field, maybe with an escaped quote inside
+      if (text->empty()) break;
+      size_t begin = pos;
+      while (begin > 0 && (*text)[begin - 1] != sep &&
+             (*text)[begin - 1] != '\n') {
+        --begin;
+      }
+      size_t end = pos;
+      while (end < text->size() && (*text)[end] != sep &&
+             (*text)[end] != '\n') {
+        ++end;
+      }
+      if (Below(rng, 2) == 0) text->insert(end, "\"\"");
+      text->insert(end, "\"");
+      text->insert(begin, "\"");
+      break;
+    }
+    case 10:  // whitespace the trimmer must strip (or \v, which it keeps)
+      text->insert(pos, std::string(1, " \t\v"[Below(rng, 3)]));
+      break;
+    default: {  // a number strtod takes but the fast parse does not
+      static const char* const kOddNumbers[] = {"+1", "0x1p3", "nan", "-inf",
+                                                "1e400", "1e-400"};
+      text->insert(pos, kOddNumbers[Below(rng, 6)]);
+      break;
+    }
+  }
+}
+
+std::string ExpectSameAsReference(const std::string& path,
+                                  const CsvOptions& options) {
+  const Result<Dataset> got = ReadCsv(path, options);
+  const Result<Dataset> want = ReferenceReadCsv(path, options);
+  if (got.ok() != want.ok()) {
+    return "ok mismatch: got " +
+           (got.ok() ? std::string("OK") : got.status().ToString()) +
+           ", want " +
+           (want.ok() ? std::string("OK") : want.status().ToString());
+  }
+  if (!want.ok()) {
+    if (got.status().code() != want.status().code() ||
+        got.status().message() != want.status().message()) {
+      return "status mismatch: got " + got.status().ToString() + ", want " +
+             want.status().ToString();
+    }
+    return "";
+  }
+  if (got->size() != want->size() || got->dims() != want->dims()) {
+    return StrFormat("shape mismatch: got %zux%zu, want %zux%zu",
+                     got->size(), got->dims(), want->size(), want->dims());
+  }
+  if (got->column_names() != want->column_names()) {
+    return "column names differ";
+  }
+  const size_t cells = want->size() * want->dims();
+  if (cells > 0 &&
+      std::memcmp(got->flat(), want->flat(), cells * sizeof(double)) != 0) {
+    return "cell bits differ";
+  }
+  return "";
+}
+
+TEST_F(CsvTest, MutationFuzzMatchesReferenceReader) {
+  std::mt19937_64 rng(4180);
+  const std::string path = TempPath("fuzz.csv");
+  constexpr int kCases = 700;
+  for (int c = 0; c < kCases; ++c) {
+    const size_t n = 1 + Below(&rng, 30);
+    const uint64_t seed = rng();
+    Dataset base;
+    switch (c % 3) {
+      case 0:
+        base = GenerateUniform(n, 1 + Below(&rng, 5), seed);
+        break;
+      case 1:
+        base = GenerateDotLike(n, seed);
+        break;
+      default:
+        base = GenerateBnLike(n, seed);
+        break;
+    }
+    CsvOptions write;
+    write.separator = c % 5 == 4 ? ';' : ',';
+    write.has_header = c % 7 != 6;
+    ASSERT_TRUE(WriteCsv(path, base, write).ok());
+    std::string text;
+    {
+      std::ifstream in(path, std::ios::binary);
+      text.assign(std::istreambuf_iterator<char>(in),
+                  std::istreambuf_iterator<char>());
+    }
+    const size_t mutations = Below(&rng, 4);  // 0: the valid file itself
+    for (size_t m = 0; m < mutations; ++m) {
+      Mutate(&rng, write.separator, &text);
+    }
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(text.data(), static_cast<std::streamsize>(text.size()));
+    }
+    for (bool header : {true, false}) {
+      for (bool skip : {false, true}) {
+        CsvOptions read;
+        read.separator = write.separator;
+        read.has_header = header;
+        read.skip_bad_rows = skip;
+        const std::string diff = ExpectSameAsReference(path, read);
+        ASSERT_EQ(diff, "") << "case " << c << " header=" << header
+                            << " skip=" << skip << "\n--- file ---\n"
+                            << text.substr(0, 2000);
+      }
+    }
+  }
 }
 
 }  // namespace
