@@ -19,7 +19,7 @@
 // threshold, and such blocks always scan.
 //
 // Axes swept per workload:
-//   path    — scalar | avx2 | avx512 (whatever the host supports), pinned
+//   path    — scalar | avx2 (whatever the host supports), pinned
 //             in-process via ForceScoreKernelPath
 //   threads — 1, 2, 4 worker threads over the function tasks (flat on a
 //             1-CPU container; the axis is recorded for multi-core runs)
@@ -132,10 +132,6 @@ std::vector<topk::ScoreKernelPath> HostPaths() {
   if (topk::ForceScoreKernelPath(topk::ScoreKernelPath::kAvx2) ==
       topk::ScoreKernelPath::kAvx2) {
     paths.push_back(topk::ScoreKernelPath::kAvx2);
-  }
-  if (topk::ForceScoreKernelPath(topk::ScoreKernelPath::kAvx512) ==
-      topk::ScoreKernelPath::kAvx512) {
-    paths.push_back(topk::ScoreKernelPath::kAvx512);
   }
   return paths;
 }

@@ -7,7 +7,8 @@
 // committed BENCH file).
 //
 // Variants per scenario:
-//   unpruned      — the legacy full-scan path
+//   unpruned      — the full-dataset mirror scan (each solver builds its
+//                   serial mirror inside the timed region)
 //   pruned+build  — cold: index construction included (first engine query)
 //   pruned        — warm: index shared, as in prepare-once/query-many
 // Representatives/regrets are bit-identical across variants (pinned by
@@ -23,10 +24,11 @@
 #include "core/kset_sampler.h"
 #include "core/mdrc.h"
 #include "core/rrr2d.h"
+#include "data/column_blocks.h"
 #include "data/generators.h"
 #include "figure_util.h"
+#include "topk/score_kernel.h"
 #include "topk/scoring.h"
-#include "topk/topk.h"
 
 namespace {
 
@@ -115,9 +117,9 @@ void EvaluatorScenario(const std::string& dist, const data::Dataset& ds,
   // Subset under audit: the diagonal function's top-k — representative-like
   // (low regret) without paying a solver run inside the timed region.
   const topk::LinearFunction diagonal{geometry::Vec(d, 1.0)};
-  const std::vector<int32_t> subset =
-      index != nullptr ? index->TopKSet(diagonal, k)
-                       : topk::TopKSet(ds, diagonal, k);
+  Result<data::ColumnBlocks> mirror = data::ColumnBlocks::Build(ds, 1);
+  RRR_CHECK_OK(mirror.status());
+  const std::vector<int32_t> subset = topk::TopKSetScan(*mirror, diagonal, k);
   core::SampledRegretOptions options;
   options.num_functions = num_functions;
   auto evaluate = [&](const core::CandidateIndex* candidates) {

@@ -2,11 +2,12 @@
 // k-set graph enumeration (O(nk) solves per k-set).
 #include <benchmark/benchmark.h>
 
+#include "data/column_blocks.h"
 #include "data/generators.h"
 #include "lp/separation.h"
 #include "lp/simplex.h"
+#include "topk/score_kernel.h"
 #include "topk/scoring.h"
-#include "topk/topk.h"
 
 namespace {
 
@@ -21,8 +22,10 @@ void BM_SeparationLp(benchmark::State& state) {
   // A genuine k-set (top-k of the all-ones function): worst case for the
   // solver because the LP runs to optimality.
   rrr::geometry::Vec w(d, 1.0);
+  const rrr::data::ColumnBlocks blocks =
+      rrr::data::ColumnBlocks::Build(ds, 1).value();
   const std::vector<int32_t> inside =
-      rrr::topk::TopKSet(ds, rrr::topk::LinearFunction(w), k);
+      rrr::topk::TopKSetScan(blocks, rrr::topk::LinearFunction(w), k);
   for (auto _ : state) {
     auto sep = rrr::lp::FindSeparatingWeights(ds.flat(), n, d, inside);
     benchmark::DoNotOptimize(sep);

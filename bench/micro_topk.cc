@@ -11,7 +11,6 @@
 #include "topk/rank.h"
 #include "topk/score_kernel.h"
 #include "topk/scoring.h"
-#include "topk/topk.h"
 
 namespace {
 
@@ -23,9 +22,11 @@ void BM_TopK(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const size_t k = static_cast<size_t>(state.range(1));
   const Dataset ds = GenerateUniform(n, 4, 1);
+  const rrr::data::ColumnBlocks blocks =
+      rrr::data::ColumnBlocks::Build(ds, 1).value();
   LinearFunction f({0.4, 0.3, 0.2, 0.1});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(rrr::topk::TopK(ds, f, k));
+    benchmark::DoNotOptimize(rrr::topk::TopKScan(blocks, f, k));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n));
@@ -94,10 +95,12 @@ BENCHMARK(BM_CandidateIndexTopKSet)
 void BM_RankOf(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const Dataset ds = GenerateUniform(n, 4, 2);
+  const rrr::data::ColumnBlocks blocks =
+      rrr::data::ColumnBlocks::Build(ds, 1).value();
   LinearFunction f({0.25, 0.25, 0.25, 0.25});
   int32_t item = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(rrr::topk::RankOf(ds, f, item));
+    benchmark::DoNotOptimize(rrr::topk::RankOf(blocks, f, item));
     item = (item + 1) % static_cast<int32_t>(n);
   }
 }
@@ -106,13 +109,15 @@ BENCHMARK(BM_RankOf)->Arg(1000)->Arg(10000)->Arg(100000);
 void BM_MinRankOfSubset(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const Dataset ds = GenerateUniform(n, 4, 3);
+  const rrr::data::ColumnBlocks blocks =
+      rrr::data::ColumnBlocks::Build(ds, 1).value();
   LinearFunction f({0.25, 0.25, 0.25, 0.25});
   std::vector<int32_t> subset;
   for (size_t i = 0; i < 20; ++i) {
     subset.push_back(static_cast<int32_t>(i * n / 20));
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(rrr::topk::MinRankOfSubset(ds, f, subset));
+    benchmark::DoNotOptimize(rrr::topk::MinRankOfSubset(blocks, f, subset));
   }
 }
 BENCHMARK(BM_MinRankOfSubset)->Arg(1000)->Arg(10000)->Arg(100000);

@@ -48,7 +48,7 @@ namespace rrr {
 ///
 /// \par Naming convention
 /// `<layer>.<component>.<operation>`, lower-case, dot-separated:
-/// "data.csv.read", "core.artifact.column_blocks",
+/// "data.csv.read", "core.artifact.candidate_index",
 /// "service.registry.prepare", "service.socket.write". List() reports
 /// every site name evaluated at least once while armed, so schedules can
 /// be written against real names.

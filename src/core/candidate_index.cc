@@ -28,27 +28,17 @@ namespace {
 /// Rows ordered by (coordinate sum desc, id asc). Any always-outranker of a
 /// row precedes it in this order: strict dominance implies a strictly
 /// larger sum, and weak dominance with an equal sum implies an identical
-/// row, where the smaller id sorts first. With a columnar mirror the sums
-/// come from the blocked kernel under the all-ones function — 1.0 * x == x
-/// exactly, so the sums (and the order) are bit-identical to the row loop.
+/// row, where the smaller id sorts first.
 std::vector<int32_t> SumOrder(const data::Dataset& dataset,
-                              std::vector<double>* sums,
-                              const data::ColumnBlocks* blocks) {
+                              std::vector<double>* sums) {
   const size_t n = dataset.size();
   const size_t d = dataset.dims();
   sums->resize(n);
-  if (blocks != nullptr) {
-    RRR_DCHECK(blocks->source() == &dataset)
-        << "SumOrder: blocks mirror a different dataset";
-    topk::ScoreAll(topk::LinearFunction(geometry::Vec(d, 1.0)), *blocks,
-                   sums->data());
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      const double* row = dataset.row(i);
-      double s = 0.0;
-      for (size_t c = 0; c < d; ++c) s += row[c];
-      (*sums)[i] = s;
-    }
+  for (size_t i = 0; i < n; ++i) {
+    const double* row = dataset.row(i);
+    double s = 0.0;
+    for (size_t c = 0; c < d; ++c) s += row[c];
+    (*sums)[i] = s;
   }
   std::vector<int32_t> order(n);
   std::iota(order.begin(), order.end(), 0);
@@ -140,13 +130,13 @@ Result<CountOutcome> CountWithBudget(const data::Dataset& dataset,
 
 Result<std::vector<uint32_t>> CandidateIndex::CountAlwaysOutrankers(
     const data::Dataset& dataset, size_t cap, size_t threads,
-    const ExecContext& ctx, const data::ColumnBlocks* blocks) {
+    const ExecContext& ctx) {
   RRR_RETURN_IF_ERROR(ctx.CheckPreempted());
   if (dataset.empty()) return Status::InvalidArgument("empty dataset");
   if (cap == 0) return Status::InvalidArgument("cap must be >= 1");
   RRR_RETURN_IF_ERROR(dataset.CheckFinite());
   std::vector<double> sums;
-  const std::vector<int32_t> order = SumOrder(dataset, &sums, blocks);
+  const std::vector<int32_t> order = SumOrder(dataset, &sums);
   const uint32_t capped = static_cast<uint32_t>(
       std::min<size_t>(cap, dataset.size()));
   CountOutcome counted;
@@ -173,14 +163,14 @@ CandidateIndex::CandidateIndex(const data::Dataset& full, size_t k,
   band_blocks_ =
       std::make_unique<data::ColumnBlocks>(std::move(mirror).value());
   if (band_.dims() == 2) {
-    band_sweep_ = std::make_unique<AngularSweep>(band_, band_blocks_.get());
+    band_sweep_ = std::make_unique<AngularSweep>(band_);
   }
 }
 
 Result<CandidateIndex::Outcome> CandidateIndex::Create(
     const data::Dataset& dataset, size_t k,
     const CandidateIndexOptions& options, const ExecContext& ctx,
-    const std::vector<uint32_t>* counts, const data::ColumnBlocks* blocks) {
+    const std::vector<uint32_t>* counts) {
   RRR_RETURN_IF_ERROR(ctx.CheckPreempted());
   if (dataset.empty()) return Status::InvalidArgument("empty dataset");
   if (k == 0) return Status::InvalidArgument("k must be >= 1");
@@ -201,7 +191,7 @@ Result<CandidateIndex::Outcome> CandidateIndex::Create(
       return out;
     }
     std::vector<double> sums;
-    const std::vector<int32_t> order = SumOrder(dataset, &sums, blocks);
+    const std::vector<int32_t> order = SumOrder(dataset, &sums);
 
     const size_t budget =
         options.budget_slack_per_tuple == 0
@@ -309,7 +299,7 @@ Result<CandidateIndex::Outcome> CandidateIndex::Create(
 
 std::vector<int32_t> CandidateIndex::TopK(const topk::LinearFunction& f,
                                           size_t k) const {
-  k = std::min(k, full_->size());  // same clamp as topk::TopK
+  k = std::min(k, full_->size());  // same clamp as topk::TopKScan
   RRR_CHECK(k <= k_) << "CandidateIndex: top-" << k
                      << " requested from a band built for k = " << k_;
   // Band-local ids ascend with original ids, so the kernel's (score desc,
@@ -321,7 +311,7 @@ std::vector<int32_t> CandidateIndex::TopK(const topk::LinearFunction& f,
 
 std::vector<int32_t> CandidateIndex::TopKSet(const topk::LinearFunction& f,
                                              size_t k) const {
-  k = std::min(k, full_->size());  // same clamp as topk::TopKSet
+  k = std::min(k, full_->size());  // same clamp as topk::TopKSetScan
   RRR_CHECK(k <= k_) << "CandidateIndex: top-" << k
                      << " requested from a band built for k = " << k_;
   // Band ids ascend with original ids, so the sorted band-local set maps to
@@ -393,14 +383,23 @@ int64_t CandidateIndex::MinRankOfSubset(
     if (certified) return rank;
   }
   if (full_scan_fallbacks != nullptr) ++(*full_scan_fallbacks);
-  return topk::MinRankOfSubset(full, f, subset, full_blocks);
+  data::ColumnBlocks own_blocks;
+  if (full_blocks == nullptr) {
+    Result<data::ColumnBlocks> built = data::ColumnBlocks::Build(full, 1);
+    RRR_CHECK(built.ok()) << built.status().ToString();
+    own_blocks = std::move(built).value();
+    full_blocks = &own_blocks;
+  }
+  RRR_CHECK(full_blocks->source() == full_)
+      << "CandidateIndex: full_blocks mirror a different dataset";
+  return topk::MinRankOfSubset(*full_blocks, f, subset);
 }
 
 size_t CandidateIndex::ApproxBytes() const {
   size_t bytes = band_.size() * band_.dims() * sizeof(double);
   bytes += band_ids_.capacity() * sizeof(int32_t);
   bytes += in_band_.capacity() * sizeof(char);
-  if (band_blocks_ != nullptr) bytes += band_blocks_->ApproxBytes();
+  bytes += band_blocks_->ApproxBytes();
   if (band_sweep_ != nullptr) bytes += band_sweep_->ApproxBytes();
   return bytes;
 }

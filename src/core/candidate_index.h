@@ -124,25 +124,20 @@ class CandidateIndex {
   /// finite, and outlive the index). `counts`, when non-null, must be
   /// always-outranker counts for this dataset capped at >= min(k, n); the
   /// pre-check and work budget are then skipped (the expensive part is
-  /// already paid). `blocks` (may be null) is the dataset's columnar
-  /// mirror: the sort-by-sum pass of the dominance count then runs through
-  /// the blocked scoring kernel (all-ones function — identical sums).
-  /// Fails only on preemption (Cancelled/DeadlineExceeded) or invalid
-  /// arguments; an unprofitable build declines instead.
+  /// already paid). Fails only on preemption (Cancelled/DeadlineExceeded)
+  /// or invalid arguments; an unprofitable build declines instead.
   static Result<Outcome> Create(
       const data::Dataset& dataset, size_t k,
       const CandidateIndexOptions& options = {}, const ExecContext& ctx = {},
-      const std::vector<uint32_t>* counts = nullptr,
-      const data::ColumnBlocks* blocks = nullptr);
+      const std::vector<uint32_t>* counts = nullptr);
 
   /// Per-row always-outranker counts, capped at `cap` (rows with >= cap
   /// outrankers report exactly cap). Deterministic for every thread count.
   /// Exposed for the slice cache and the monotonicity tests; Create is the
-  /// usual entry point. `blocks` as in Create.
+  /// usual entry point.
   static Result<std::vector<uint32_t>> CountAlwaysOutrankers(
       const data::Dataset& dataset, size_t cap, size_t threads = 0,
-      const ExecContext& ctx = {},
-      const data::ColumnBlocks* blocks = nullptr);
+      const ExecContext& ctx = {});
 
   /// Band parameter: queries are valid for any k' <= k.
   size_t k() const { return k_; }
@@ -163,12 +158,13 @@ class CandidateIndex {
   const data::ColumnBlocks* band_blocks() const { return band_blocks_.get(); }
 
   /// Ids of the top-k' tuples of the FULL dataset under `f`, best first —
-  /// bit-identical to topk::TopK(full, f, k') for k' <= k(), answered by the
-  /// kernel's buffered selection (topk::TopKScan) over band_blocks(), with
+  /// bit-identical to topk::TopKScan over the full mirror for k' <= k(),
+  /// answered by the same buffered selection over band_blocks(), with
   /// block skip and scan counters as for any mirror. RRR_CHECKs k' <= k().
   std::vector<int32_t> TopK(const topk::LinearFunction& f, size_t k) const;
 
-  /// TopK + ascending-sorted ids — bit-identical to topk::TopKSet.
+  /// TopK + ascending-sorted ids — bit-identical to topk::TopKSetScan over
+  /// the full mirror.
   std::vector<int32_t> TopKSet(const topk::LinearFunction& f, size_t k) const;
 
   /// \brief Exact minimum rank of `subset` under `f` over the FULL dataset —
@@ -180,9 +176,9 @@ class CandidateIndex {
   /// member that is in the band with fewer than k() band outrankers has
   /// exactly that rank in the full dataset too. `full_scan_fallbacks`
   /// (may be null) is incremented when the fallback fires. The band count
-  /// always runs through the blocked kernel (band_blocks()); `full_blocks`
-  /// (may be null, must mirror the full dataset) routes the fallback scan
-  /// through it too.
+  /// always runs through the blocked kernel (band_blocks()); the fallback
+  /// scans `full_blocks`, the full dataset's mirror — a null mirror is
+  /// built (serially) when the fallback fires.
   int64_t MinRankOfSubset(const topk::LinearFunction& f,
                           const std::vector<int32_t>& subset,
                           size_t* full_scan_fallbacks = nullptr,

@@ -220,22 +220,20 @@ Result<DatasetVersion> DynamicDataset::PublishNext(
   seed.version = version;
 
   if (options_.incremental_artifacts) {
-    // Peek, never build: an update only maintains artifacts some query
-    // already paid for. Every branch below is cost-only — the new version
-    // answers bit-identically with or without the seed.
-    const std::shared_ptr<const data::ColumnBlocks> base_blocks =
-        base->MaybeColumnBlocks();
+    // Every branch below is cost-only — the new version answers
+    // bit-identically with or without the seed (CreateVersioned builds a
+    // dense mirror when the seed carries none). Counts are only maintained
+    // when some candidate build already paid for them.
+    const data::ColumnBlocks& base_blocks = base->column_blocks();
     const std::pair<size_t, std::shared_ptr<const std::vector<uint32_t>>>
         base_counts = base->CandidateCountsSnapshot();
     if (appended_from != kNoAppend) {
-      if (base_blocks != nullptr) {
-        data::ColumnBlocks grown_blocks;
-        RRR_ASSIGN_OR_RETURN(
-            grown_blocks,
-            data::ColumnBlocks::BuildAppended(*base_blocks, grown, ctx));
-        seed.blocks =
-            std::make_unique<data::ColumnBlocks>(std::move(grown_blocks));
-      }
+      data::ColumnBlocks grown_blocks;
+      RRR_ASSIGN_OR_RETURN(
+          grown_blocks,
+          data::ColumnBlocks::BuildAppended(base_blocks, grown, ctx));
+      seed.blocks =
+          std::make_unique<data::ColumnBlocks>(std::move(grown_blocks));
       if (base_counts.first > 0 && base_counts.second != nullptr) {
         std::vector<uint32_t> extended;
         RRR_ASSIGN_OR_RETURN(
@@ -248,17 +246,13 @@ Result<DatasetVersion> DynamicDataset::PublishNext(
             std::move(extended));
       }
     } else {
-      if (base_blocks != nullptr) {
-        data::ColumnBlocks masked;
-        RRR_ASSIGN_OR_RETURN(masked,
-                             base_blocks->WithoutRow(&grown, deleted_id));
-        // Compaction decision point: past the dead-lane threshold the
-        // masked mirror is abandoned and the next query re-transposes
-        // densely, instead of every scan wading through dead tiles.
-        if (masked.dead_fraction() <= options_.max_dead_fraction) {
-          seed.blocks =
-              std::make_unique<data::ColumnBlocks>(std::move(masked));
-        }
+      data::ColumnBlocks masked;
+      RRR_ASSIGN_OR_RETURN(masked, base_blocks.WithoutRow(&grown, deleted_id));
+      // Compaction decision point: past the dead-lane threshold the masked
+      // mirror is abandoned and the new version re-transposes densely,
+      // instead of every scan wading through dead tiles.
+      if (masked.dead_fraction() <= options_.max_dead_fraction) {
+        seed.blocks = std::make_unique<data::ColumnBlocks>(std::move(masked));
       }
       if (base_counts.first > 0 && base_counts.second != nullptr) {
         ShrinkCountsOutcome shrunk;

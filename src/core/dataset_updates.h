@@ -19,14 +19,15 @@ namespace core {
 
 /// Tuning for DynamicDataset's incremental artifact maintenance. None of
 /// these affect any query result — only how much derived state a new
-/// version inherits versus lazily rebuilds.
+/// version inherits versus rebuilds.
 struct DynamicDatasetOptions {
   /// Shared-artifact configuration for every version's PreparedDataset.
   PreparedDataset::Options prepared;
   /// Maintain derived artifacts (columnar mirror, always-outranker counts)
-  /// incrementally across versions. Off = every version starts cold and
-  /// rebuilds lazily on first query — the differential tests run both ways
-  /// to pin that maintenance is invisible.
+  /// incrementally across versions. Off = every version re-transposes its
+  /// mirror densely at publication and rebuilds counts on first query —
+  /// the differential tests run both ways to pin that maintenance is
+  /// invisible.
   bool incremental_artifacts = true;
   /// Locality bound for Delete's count maintenance: a delete only has to
   /// recount rows the deleted row saturated (count == cap); past this many
@@ -36,7 +37,7 @@ struct DynamicDatasetOptions {
   size_t max_delete_recounts = 8;
   /// Masked-mirror compaction trigger: once deletes have killed more than
   /// this fraction of a mirror's physical lanes, the derived mirror is not
-  /// carried forward and the next query pays one dense re-transpose
+  /// carried forward and the new version pays one dense re-transpose
   /// instead of scanning mostly-dead tiles forever.
   double max_dead_fraction = 0.5;
 };
@@ -104,9 +105,10 @@ Result<ShrinkCountsOutcome> ShrinkOutrankerCountsForDelete(
 /// to a from-scratch build over the same rows — the differential suite's
 /// oracle contract).
 ///
-/// Derived artifacts carry forward incrementally when the previous
-/// version had them (see DynamicDatasetOptions): the columnar mirror via
-/// appended tiles / validity masks, the k-skyband counts via the
+/// Derived artifacts carry forward incrementally (see
+/// DynamicDatasetOptions): the columnar mirror — which every version
+/// owns — via appended tiles / validity masks, and, when the previous
+/// version had them, the k-skyband counts via the
 /// append/delete primitives above. An update preempted via ExecContext
 /// returns Cancelled/DeadlineExceeded with the current version untouched
 /// and no partial artifact published anywhere.

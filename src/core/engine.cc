@@ -129,25 +129,17 @@ Result<Algorithm> RrrEngine::ResolveAlgorithm(const PreparedDataset& prepared,
   return algorithm;
 }
 
-bool RrrEngine::ArtifactInCooldown(ArtifactKind kind) const {
+bool RrrEngine::CandidatesInCooldown() const {
   if (options_.artifact_failure_cooldown_ms == 0) return false;
   MutexLock lock(degrade_mu_);
-  return std::chrono::steady_clock::now() <
-         artifact_retry_after_[static_cast<size_t>(kind)];
-}
-
-void RrrEngine::NoteArtifactFailure(ArtifactKind kind) const {
-  MutexLock lock(degrade_mu_);
-  artifact_retry_after_[static_cast<size_t>(kind)] =
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(options_.artifact_failure_cooldown_ms);
+  return std::chrono::steady_clock::now() < candidates_retry_after_;
 }
 
 Result<std::shared_ptr<const CandidateIndex>>
 RrrEngine::DegradableCandidateIndex(const PreparedDataset& prepared, size_t k,
                                     const ExecContext& ctx,
                                     bool* degraded) const {
-  if (ArtifactInCooldown(ArtifactKind::kCandidates)) {
+  if (CandidatesInCooldown()) {
     *degraded = true;
     return std::shared_ptr<const CandidateIndex>();
   }
@@ -163,34 +155,14 @@ RrrEngine::DegradableCandidateIndex(const PreparedDataset& prepared, size_t k,
   RRR_LOG(WARNING) << "candidate-index build failed ("
                    << built.status().ToString()
                    << "); query degrades to the unpruned path";
-  NoteArtifactFailure(ArtifactKind::kCandidates);
+  {
+    MutexLock lock(degrade_mu_);
+    candidates_retry_after_ =
+        std::chrono::steady_clock::now() +
+        std::chrono::milliseconds(options_.artifact_failure_cooldown_ms);
+  }
   *degraded = true;
   return std::shared_ptr<const CandidateIndex>();
-}
-
-Result<std::shared_ptr<const data::ColumnBlocks>>
-RrrEngine::DegradableColumnBlocks(const PreparedDataset& prepared,
-                                  const ExecContext& ctx,
-                                  bool* degraded) const {
-  if (ArtifactInCooldown(ArtifactKind::kBlocks)) {
-    *degraded = true;
-    return std::shared_ptr<const data::ColumnBlocks>();
-  }
-  Result<std::shared_ptr<const data::ColumnBlocks>> built =
-      prepared.SharedColumnBlocks(
-          ResolveThreads(ctx.ThreadsOver(options_.defaults.threads)), ctx);
-  if (built.ok()) return built;
-  const StatusCode code = built.status().code();
-  if (code == StatusCode::kCancelled ||
-      code == StatusCode::kDeadlineExceeded) {
-    return built;
-  }
-  RRR_LOG(WARNING) << "columnar-mirror build failed ("
-                   << built.status().ToString()
-                   << "); query degrades to the row-major scan";
-  NoteArtifactFailure(ArtifactKind::kBlocks);
-  *degraded = true;
-  return std::shared_ptr<const data::ColumnBlocks>();
 }
 
 Result<QueryResult> RrrEngine::RunAlgorithm(const PreparedDataset& prepared,
@@ -198,6 +170,7 @@ Result<QueryResult> RrrEngine::RunAlgorithm(const PreparedDataset& prepared,
                                             const ExecContext& ctx) const {
   const RrrOptions& defaults = options_.defaults;
   const data::Dataset& dataset = prepared.dataset();
+  const data::ColumnBlocks* blocks = &prepared.column_blocks();
   const size_t n = dataset.size();
 
   QueryResult result;
@@ -213,13 +186,6 @@ Result<QueryResult> RrrEngine::RunAlgorithm(const PreparedDataset& prepared,
     return DegradableCandidateIndex(prepared, k, ctx,
                                     &result.diagnostics.degraded);
   };
-  // Likewise the shared columnar mirror: every scan-shaped loop below runs
-  // through the blocked scoring kernel with it (bit-identical results; the
-  // one O(n d) transpose amortizes across all queries).
-  auto shared_blocks =
-      [&]() -> Result<std::shared_ptr<const data::ColumnBlocks>> {
-    return DegradableColumnBlocks(prepared, ctx, &result.diagnostics.degraded);
-  };
   Stopwatch timer;
   // Block-max pruning accounting: delta of the process-global scan
   // counters around the compute. Concurrent queries interleave their
@@ -230,8 +196,6 @@ Result<QueryResult> RrrEngine::RunAlgorithm(const PreparedDataset& prepared,
     case Algorithm::k2dRrr: {
       std::shared_ptr<const CandidateIndex> candidates;
       RRR_ASSIGN_OR_RETURN(candidates, shared_candidates());
-      std::shared_ptr<const data::ColumnBlocks> blocks;
-      RRR_ASSIGN_OR_RETURN(blocks, shared_blocks());
       // With a candidate index the scans run over the band, not the
       // mirror — report the mirror only when it is what actually scanned.
       result.diagnostics.columnar_kernel = candidates == nullptr;
@@ -242,7 +206,7 @@ Result<QueryResult> RrrEngine::RunAlgorithm(const PreparedDataset& prepared,
           result.representative,
           Solve2dRrr(dataset, k, defaults.rrr2d, ctx,
                      candidates == nullptr ? prepared.sweep() : nullptr,
-                     candidates.get(), blocks.get()));
+                     candidates.get(), blocks));
       result.diagnostics.reused_prepared_artifacts = prepared.dims() == 2;
       if (candidates != nullptr) {
         result.diagnostics.skyband_size = candidates->band_size();
@@ -283,8 +247,6 @@ Result<QueryResult> RrrEngine::RunAlgorithm(const PreparedDataset& prepared,
     case Algorithm::kMdRc: {
       std::shared_ptr<const CandidateIndex> candidates;
       RRR_ASSIGN_OR_RETURN(candidates, shared_candidates());
-      std::shared_ptr<const data::ColumnBlocks> blocks;
-      RRR_ASSIGN_OR_RETURN(blocks, shared_blocks());
       // Corner evaluations consult the candidate index first; the mirror
       // scans only when no index superseded it.
       result.diagnostics.columnar_kernel = candidates == nullptr;
@@ -299,7 +261,7 @@ Result<QueryResult> RrrEngine::RunAlgorithm(const PreparedDataset& prepared,
       RRR_ASSIGN_OR_RETURN(
           result.representative,
           SolveMdrc(dataset, k, mdrc, &stats, ctx, prepared.corner_cache(),
-                    candidates.get(), blocks.get()));
+                    candidates.get(), blocks));
       result.diagnostics.mdrc = stats;
       result.diagnostics.reused_prepared_artifacts = cache_was_warm;
       if (candidates != nullptr) {
@@ -472,10 +434,6 @@ Result<EvalReport> RrrEngine::Evaluate(
         candidates,
         DegradableCandidateIndex(*snapshot, k, query.exec,
                                  &report.diagnostics.degraded));
-    std::shared_ptr<const data::ColumnBlocks> blocks;
-    RRR_ASSIGN_OR_RETURN(
-        blocks, DegradableColumnBlocks(*snapshot, query.exec,
-                                       &report.diagnostics.degraded));
     SampledRegretOptions sampled;
     sampled.num_functions = options_.eval_num_functions;
     sampled.seed = options_.eval_seed;
@@ -485,7 +443,7 @@ Result<EvalReport> RrrEngine::Evaluate(
         report.rank_regret,
         SampledRankRegretEstimate(snapshot->dataset(), representative,
                                   sampled, query.exec, candidates.get(),
-                                  &eval_stats, blocks.get()));
+                                  &eval_stats, &snapshot->column_blocks()));
     report.exact = false;
     report.diagnostics.eval_functions_sampled = sampled.num_functions;
     // Without an index every rank scan runs on the mirror; with one, only

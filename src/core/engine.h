@@ -1,7 +1,6 @@
 #ifndef RRR_CORE_ENGINE_H_
 #define RRR_CORE_ENGINE_H_
 
-#include <array>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -60,10 +59,9 @@ struct Diagnostics {
   /// pruned probes x (n - skyband_size). A throughput observability signal
   /// like `seconds`, not part of the deterministic-output contract.
   size_t skyband_scan_rows_saved = 0;
-  /// True when the query's full-dataset scans ran through the shared
-  /// columnar mirror and the blocked scoring kernel
-  /// (topk/score_kernel.h). Throughput observability only — results are
-  /// bit-identical with and without the mirror.
+  /// True when the query's full-dataset scans ran through the prepared
+  /// columnar mirror (topk/score_kernel.h) rather than only the candidate
+  /// index's band. Observability only.
   bool columnar_kernel = false;
   /// Blocks the query's threshold-driven scans scored / proved skippable
   /// via block-max pruning (topk::ScanStats). Deltas of process-global
@@ -72,11 +70,11 @@ struct Diagnostics {
   /// skipping is bit-identity-safe by construction.
   uint64_t blocks_scanned = 0;
   uint64_t blocks_skipped = 0;
-  /// True when a shared-artifact build (candidate index / columnar mirror)
-  /// failed — or was in its failure cooldown — and the query proceeded on
-  /// the legacy unpruned path instead of erroring. The representative is
-  /// bit-identical to the artifact-assisted one (the null contracts those
-  /// paths already honor); only throughput degrades. Preemption
+  /// True when the candidate-index build failed — or was in its failure
+  /// cooldown — and the query proceeded on the unpruned full-mirror scan
+  /// instead of erroring. The representative is bit-identical to the
+  /// index-assisted one (the null contract that path already honors); only
+  /// throughput degrades. Preemption
   /// (Cancelled/DeadlineExceeded) is never degraded — it propagates.
   bool degraded = false;
   /// The dataset version this query answered against (the pinned snapshot,
@@ -150,9 +148,9 @@ struct EngineOptions {
   /// Evaluate's sampled-estimator protocol for d > 2 data.
   size_t eval_num_functions = 10000;
   uint64_t eval_seed = 23;
-  /// After a shared-artifact build failure, queries skip re-attempting
-  /// that artifact class for this long (running degraded instead) so a
-  /// persistently failing build is not hammered on every query. 0 retries
+  /// After a candidate-index build failure, queries skip re-attempting
+  /// the build for this long (running degraded instead) so a persistently
+  /// failing build is not hammered on every query. 0 retries
   /// immediately.
   uint64_t artifact_failure_cooldown_ms = 250;
   /// Shared-artifact caps for the underlying PreparedDataset.
@@ -288,39 +286,32 @@ class RrrEngine {
                                    Algorithm algorithm,
                                    const ExecContext& ctx) const;
 
-  /// The two shared artifacts queries can survive without: both honor a
-  /// null contract (a null index/mirror means the unpruned legacy path
-  /// runs, bit-identically), so their build failures degrade instead of
-  /// erroring. The algorithm-defining artifacts (k-sets, convex maxima)
-  /// have no such fallback and keep their failures fatal.
-  enum class ArtifactKind { kCandidates = 0, kBlocks = 1 };
+  /// True while the candidate index is inside its post-failure cooldown
+  /// window (queries then skip the build attempt entirely and run
+  /// degraded).
+  bool CandidatesInCooldown() const;
 
-  /// True while `kind` is inside its post-failure cooldown window (queries
-  /// then skip the build attempt entirely and run degraded).
-  bool ArtifactInCooldown(ArtifactKind kind) const;
-  /// Opens (or extends) `kind`'s cooldown window after a failed build.
-  void NoteArtifactFailure(ArtifactKind kind) const;
-
-  /// SharedCandidateIndex with graceful degradation: a build failure other
-  /// than preemption logs a warning, opens the cooldown, sets *degraded,
-  /// and returns null so the caller proceeds on the legacy path.
+  /// \brief SharedCandidateIndex with graceful degradation.
+  ///
+  /// The index is the one shared artifact queries can survive without: it
+  /// already declines on purpose (a null index means the unpruned mirror
+  /// scan runs, bit-identically), so a build failure other than preemption
+  /// logs a warning, opens the cooldown, sets *degraded, and returns null.
   /// Cancelled/DeadlineExceeded propagate — preemption is the query's own
-  /// verdict, not an artifact fault.
+  /// verdict, not an artifact fault. The algorithm-defining artifacts
+  /// (k-sets, convex maxima) have no such fallback and keep their failures
+  /// fatal.
   Result<std::shared_ptr<const CandidateIndex>> DegradableCandidateIndex(
       const PreparedDataset& prepared, size_t k, const ExecContext& ctx,
-      bool* degraded) const;
-  /// SharedColumnBlocks under the same degradation contract.
-  Result<std::shared_ptr<const data::ColumnBlocks>> DegradableColumnBlocks(
-      const PreparedDataset& prepared, const ExecContext& ctx,
       bool* degraded) const;
 
   std::shared_ptr<const PreparedDataset> prepared_;
   SnapshotFn snapshot_source_;  // null for static engines
   EngineOptions options_;
   mutable Mutex degrade_mu_;
-  /// Cooldown deadlines indexed by ArtifactKind.
-  mutable std::array<std::chrono::steady_clock::time_point, 2>
-      artifact_retry_after_ RRR_GUARDED_BY(degrade_mu_){};
+  /// End of the candidate-index cooldown window.
+  mutable std::chrono::steady_clock::time_point candidates_retry_after_
+      RRR_GUARDED_BY(degrade_mu_){};
   mutable internal::KeyedLazyCache<ResultKey, QueryResult, ResultKeyHash>
       result_cache_;
 };

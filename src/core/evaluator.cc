@@ -99,10 +99,13 @@ Result<int64_t> SampledRankRegretEstimate(const data::Dataset& dataset,
     RRR_CHECK(candidates->full_dataset() == &dataset)
         << "CandidateIndex built over a different dataset";
   }
-  if (blocks != nullptr) {
-    RRR_CHECK(blocks->source() == &dataset)
-        << "blocks mirror a different dataset";
+  data::ColumnBlocks own_blocks;
+  if (blocks == nullptr) {
+    RRR_ASSIGN_OR_RETURN(own_blocks, data::ColumnBlocks::Build(dataset, 1));
+    blocks = &own_blocks;
   }
+  RRR_CHECK(blocks->source() == &dataset)
+      << "blocks mirror a different dataset";
   SampledRegretStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   *stats = SampledRegretStats{};
@@ -113,7 +116,7 @@ Result<int64_t> SampledRankRegretEstimate(const data::Dataset& dataset,
   std::atomic<size_t> fallbacks{0};
   auto min_rank = [&](const topk::LinearFunction& f) {
     if (candidates == nullptr) {
-      return topk::MinRankOfSubset(dataset, f, subset, blocks);
+      return topk::MinRankOfSubset(*blocks, f, subset);
     }
     size_t fell_back = 0;
     const int64_t rank =

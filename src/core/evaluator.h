@@ -62,10 +62,10 @@ struct SampledRegretStats {
 /// k-skyband whenever the rank is <= candidates->k() — the common case for
 /// representatives — falling back to a full scan otherwise, so the estimate
 /// is bit-identical with and without the index. `stats` (may be null)
-/// receives the band/fallback attribution. `blocks` (may be null, must
-/// mirror `dataset`) routes the full-dataset rank scans — the whole
-/// workload without an index, the fallbacks with one — through the blocked
-/// scoring kernel; bit-identical estimate in every combination.
+/// receives the band/fallback attribution. `blocks` is the columnar mirror
+/// of `dataset` the full-dataset rank scans run over — the whole workload
+/// without an index, the fallbacks with one; a null mirror is built
+/// (serially) for this call.
 Result<int64_t> SampledRankRegretEstimate(
     const data::Dataset& dataset, const std::vector<int32_t>& subset,
     const SampledRegretOptions& options = {}, const ExecContext& ctx = {},

@@ -6,8 +6,8 @@
 
 #include "core/candidate_index.h"
 #include "lp/separation.h"
+#include "topk/score_kernel.h"
 #include "topk/scoring.h"
-#include "topk/topk.h"
 
 namespace rrr {
 namespace core {
@@ -34,6 +34,13 @@ Result<KSetCollection> EnumerateKSetsGraph(const data::Dataset& dataset,
     RRR_CHECK(candidates->k() >= k)
         << "CandidateIndex band too small for this k";
   }
+  data::ColumnBlocks own_blocks;
+  if (blocks == nullptr) {
+    RRR_ASSIGN_OR_RETURN(own_blocks, data::ColumnBlocks::Build(dataset, 1));
+    blocks = &own_blocks;
+  }
+  RRR_CHECK(blocks->source() == &dataset)
+      << "EnumerateKSetsGraph: blocks mirror a different dataset";
 
   // Initial step: the top-k on the first attribute is a k-set under general
   // position (the function with weights e_1, ties id-broken). Tied data can
@@ -54,7 +61,7 @@ Result<KSetCollection> EnumerateKSetsGraph(const data::Dataset& dataset,
     const topk::LinearFunction f(w);
     candidate.ids = candidates != nullptr
                         ? candidates->TopKSet(f, k)
-                        : topk::TopKSet(dataset, f, k, blocks);
+                        : topk::TopKSetScan(*blocks, f, k);
     lp::SeparationResult sep;
     RRR_ASSIGN_OR_RETURN(
         sep, lp::FindSeparatingWeights(dataset.flat(), n, d, candidate.ids,

@@ -44,8 +44,9 @@ struct KSetGraphOptions {
 /// separation LP (one of the outrankers is outside the set and scores at
 /// least as high under every non-negative weight vector), so the skipped
 /// candidates were doomed LP rejections. Must be built over `dataset` with
-/// candidates->k() >= k. `blocks` (may be null, must mirror `dataset`)
-/// routes the unpruned seed top-k scans through the blocked scoring kernel.
+/// candidates->k() >= k. `blocks` is the columnar mirror of `dataset` the
+/// unpruned seed top-k scans run over; a null mirror is built (serially)
+/// for this call.
 Result<KSetCollection> EnumerateKSetsGraph(
     const data::Dataset& dataset, size_t k,
     const KSetGraphOptions& options = {}, const ExecContext& ctx = {},

@@ -5,8 +5,8 @@
 #include "common/parallel.h"
 #include "common/random.h"
 #include "core/candidate_index.h"
+#include "topk/score_kernel.h"
 #include "topk/scoring.h"
-#include "topk/topk.h"
 
 namespace rrr {
 namespace core {
@@ -26,14 +26,17 @@ Result<KSetSampleResult> SampleKSets(const data::Dataset& dataset, size_t k,
     RRR_CHECK(candidates->k() >= std::min(k, dataset.size()))
         << "CandidateIndex band too small for this k";
   }
-  if (blocks != nullptr) {
-    RRR_CHECK(blocks->source() == &dataset)
-        << "SampleKSets: blocks mirror a different dataset";
+  data::ColumnBlocks own_blocks;
+  if (blocks == nullptr) {
+    RRR_ASSIGN_OR_RETURN(own_blocks, data::ColumnBlocks::Build(dataset, 1));
+    blocks = &own_blocks;
   }
+  RRR_CHECK(blocks->source() == &dataset)
+      << "SampleKSets: blocks mirror a different dataset";
 
   auto top_k_set = [&](const topk::LinearFunction& f) {
     if (candidates != nullptr) return candidates->TopKSet(f, k);
-    return topk::TopKSet(dataset, f, k, blocks);
+    return topk::TopKSetScan(*blocks, f, k);
   };
 
   Rng rng(options.seed);

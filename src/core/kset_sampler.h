@@ -59,9 +59,9 @@ struct KSetSampleResult {
 /// scan over its k-skyband mirror (core/candidate_index.h); the sampled
 /// collection is bit-identical either way (the sampler's invariance
 /// contract). It must be built over `dataset` with candidates->k() >= k.
-/// `blocks` (may be null, must mirror `dataset`) routes the full-dataset
-/// scans through the blocked scoring kernel; it is unused when
-/// `candidates` is given.
+/// `blocks` is the columnar mirror of `dataset` the full-dataset scans run
+/// over (unused when `candidates` is given); a null mirror is built
+/// (serially) for this call.
 Result<KSetSampleResult> SampleKSets(const data::Dataset& dataset, size_t k,
                                      const KSetSamplerOptions& options = {},
                                      const ExecContext& ctx = {},

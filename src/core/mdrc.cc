@@ -15,8 +15,8 @@
 #include "common/parallel.h"
 #include "core/candidate_index.h"
 #include "geometry/angles.h"
+#include "topk/score_kernel.h"
 #include "topk/scoring.h"
-#include "topk/topk.h"
 
 namespace rrr {
 namespace core {
@@ -100,7 +100,7 @@ CornerTopKCache::CornerTopKCache(const data::Dataset& dataset,
 
 std::shared_ptr<const std::vector<int32_t>> CornerTopKCache::TopKAt(
     size_t k, const geometry::Vec& angles, Counters* counters,
-    const CandidateIndex* candidates, const data::ColumnBlocks* blocks) {
+    const CandidateIndex* candidates, const data::ColumnBlocks& blocks) {
   Key key{k, angles};
   Shard& shard = shards_[KeyHash{}(key) % kShards];
   std::shared_ptr<Entry> entry;
@@ -178,10 +178,10 @@ void CornerTopKCache::Clear() {
 
 std::vector<int32_t> CornerTopKCache::Evaluate(
     size_t k, const geometry::Vec& angles, const CandidateIndex* candidates,
-    const data::ColumnBlocks* blocks) const {
+    const data::ColumnBlocks& blocks) const {
   const topk::LinearFunction f = topk::LinearFunction::FromAngles(angles);
   if (candidates != nullptr) return candidates->TopKSet(f, k);
-  return topk::TopKSet(dataset_, f, k, blocks);
+  return topk::TopKSetScan(blocks, f, k);
 }
 
 Result<std::vector<int32_t>> SolveMdrc(const data::Dataset& dataset, size_t k,
@@ -195,10 +195,13 @@ Result<std::vector<int32_t>> SolveMdrc(const data::Dataset& dataset, size_t k,
   if (k == 0) return Status::InvalidArgument("k must be >= 1");
   if (dataset.empty()) return Status::InvalidArgument("empty dataset");
   RRR_RETURN_IF_ERROR(dataset.CheckFinite());
-  if (blocks != nullptr) {
-    RRR_CHECK(blocks->source() == &dataset)
-        << "SolveMdrc: blocks mirror a different dataset";
+  data::ColumnBlocks own_blocks;
+  if (blocks == nullptr) {
+    RRR_ASSIGN_OR_RETURN(own_blocks, data::ColumnBlocks::Build(dataset, 1));
+    blocks = &own_blocks;
   }
+  RRR_CHECK(blocks->source() == &dataset)
+      << "SolveMdrc: blocks mirror a different dataset";
   MdrcStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   *stats = MdrcStats{};
@@ -206,7 +209,7 @@ Result<std::vector<int32_t>> SolveMdrc(const data::Dataset& dataset, size_t k,
   const size_t d = dataset.dims();
   if (d == 1) {
     // One ranking function total; its top-1 is a perfect representative.
-    return topk::TopK(dataset, topk::LinearFunction({1.0}), 1, blocks);
+    return topk::TopKScan(*blocks, topk::LinearFunction({1.0}), 1);
   }
   const size_t angle_dims = d - 1;
   const size_t max_level = options.max_splits_per_dim * angle_dims;
@@ -292,7 +295,7 @@ Result<std::vector<int32_t>> SolveMdrc(const data::Dataset& dataset, size_t k,
         return;
       }
       table[c] = corner_cache->TopKAt(kk, *corners[c], &counters, candidates,
-                                      blocks);
+                                      *blocks);
     });
     if (preempted.load(std::memory_order_relaxed)) break;
 

@@ -135,13 +135,11 @@ class CornerTopKCache {
   /// a full scan — bit-identical by the CandidateIndex contract,
   /// so entries computed with and without an index are interchangeable; it
   /// must be built over this cache's dataset with candidates->k() >= k.
-  /// `blocks` (may be null, must mirror this cache's dataset) routes
-  /// uncached full scans through the blocked scoring kernel — also
-  /// bit-identical, so all four miss paths fill interchangeable entries.
+  /// Without an index, misses scan `blocks`, the columnar mirror of this
+  /// cache's dataset, through the blocked scoring kernel.
   std::shared_ptr<const std::vector<int32_t>> TopKAt(
       size_t k, const geometry::Vec& angles, Counters* counters,
-      const CandidateIndex* candidates = nullptr,
-      const data::ColumnBlocks* blocks = nullptr);
+      const CandidateIndex* candidates, const data::ColumnBlocks& blocks);
 
   /// Dataset this cache evaluates against (identity-checked by SolveMdrc).
   const data::Dataset* dataset() const { return &dataset_; }
@@ -188,7 +186,7 @@ class CornerTopKCache {
 
   std::vector<int32_t> Evaluate(size_t k, const geometry::Vec& angles,
                                 const CandidateIndex* candidates,
-                                const data::ColumnBlocks* blocks) const;
+                                const data::ColumnBlocks& blocks) const;
 
   const data::Dataset& dataset_;
   size_t per_shard_cap_;
@@ -223,9 +221,9 @@ class CornerTopKCache {
 /// the k-skyband candidate index (core/candidate_index.h) instead of a
 /// full-dataset scan; the representative and stats are bit-identical either
 /// way (the equivalence tests pin this). It must be built over `dataset`
-/// with candidates->k() >= min(k, n). `blocks` (may be null, must mirror
-/// `dataset`) routes the remaining full-scan corner evaluations through the
-/// blocked scoring kernel — again bit-identical.
+/// with candidates->k() >= min(k, n). `blocks` is the columnar mirror of
+/// `dataset` the remaining full-scan corner evaluations run over; a null
+/// mirror is built (serially) for this call.
 Result<std::vector<int32_t>> SolveMdrc(const data::Dataset& dataset, size_t k,
                                        const MdrcOptions& options = {},
                                        MdrcStats* stats = nullptr,

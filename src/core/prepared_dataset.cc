@@ -37,8 +37,19 @@ Result<std::shared_ptr<const PreparedDataset>> PreparedDataset::Create(
   if (dataset.empty()) return Status::InvalidArgument("empty dataset");
   RRR_RETURN_IF_ERROR(dataset.CheckFinite());
   // Not make_shared: the constructor is private.
-  return std::shared_ptr<const PreparedDataset>(
+  std::shared_ptr<PreparedDataset> prepared(
       new PreparedDataset(std::move(dataset), options, NewDatasetOrigin()));
+  // The mirror must point at the rows' final home inside the object.
+  RRR_RETURN_IF_ERROR(prepared->BuildColumnBlocks());
+  return std::shared_ptr<const PreparedDataset>(std::move(prepared));
+}
+
+Status PreparedDataset::BuildColumnBlocks() {
+  data::ColumnBlocks blocks;
+  RRR_ASSIGN_OR_RETURN(blocks, data::ColumnBlocks::Build(data_, 0));
+  column_blocks_ = std::make_shared<const data::ColumnBlocks>(
+      std::move(blocks));
+  return Status::OK();
 }
 
 Result<std::shared_ptr<const PreparedDataset>> PreparedDataset::CreateVersioned(
@@ -49,11 +60,6 @@ Result<std::shared_ptr<const PreparedDataset>> PreparedDataset::CreateVersioned(
     return Status::InvalidArgument("CreateVersioned: unassigned version");
   }
   const size_t n = dataset.size();
-  if (seed.blocks != nullptr && (seed.blocks->rows() != n ||
-                                 seed.blocks->dims() != dataset.dims())) {
-    return Status::InvalidArgument(
-        "CreateVersioned: seed mirror shape mismatches the dataset");
-  }
   if (seed.counts != nullptr &&
       (seed.counts->size() != n || seed.counts_cap == 0)) {
     return Status::InvalidArgument(
@@ -61,11 +67,17 @@ Result<std::shared_ptr<const PreparedDataset>> PreparedDataset::CreateVersioned(
   }
   std::shared_ptr<PreparedDataset> prepared(
       new PreparedDataset(std::move(dataset), options, seed.version));
-  if (seed.blocks != nullptr) {
+  if (seed.blocks == nullptr) {
+    RRR_RETURN_IF_ERROR(prepared->BuildColumnBlocks());
+  } else {
+    if (seed.blocks->rows() != n || seed.blocks->dims() != prepared->dims()) {
+      return Status::InvalidArgument(
+          "CreateVersioned: seed mirror shape mismatches the dataset");
+    }
     // The seed mirror was built against the update layer's staging
     // dataset; the rows now live (bit-identically) inside this object.
     seed.blocks->RebindSource(&prepared->data_);
-    prepared->column_blocks_.Put(std::move(*seed.blocks));
+    prepared->column_blocks_ = std::move(seed.blocks);
   }
   if (seed.counts != nullptr) {
     // Uncontended (the object is not yet published), but the counts are
@@ -84,18 +96,6 @@ const AngularSweep* PreparedDataset::sweep() const {
     sweep_built_.store(true, std::memory_order_release);
   });
   return sweep_.get();
-}
-
-Result<std::shared_ptr<const data::ColumnBlocks>>
-PreparedDataset::SharedColumnBlocks(size_t threads, const ExecContext& ctx,
-                                    bool* cache_hit) const {
-  RRR_RETURN_IF_ERROR(ctx.CheckPreempted());
-  return column_blocks_.GetOrCompute(
-      ctx, cache_hit,
-      [this, threads, &ctx]() -> Result<data::ColumnBlocks> {
-        RRR_FAILPOINT("core.artifact.column_blocks");
-        return data::ColumnBlocks::Build(data_, threads, ctx);
-      });
 }
 
 Result<std::shared_ptr<const std::vector<int32_t>>>
@@ -181,15 +181,8 @@ Result<std::shared_ptr<const KSetSampleResult>> PreparedDataset::SharedKSets(
       [this, k, &options, &ctx,
        candidates]() -> Result<KSetSampleResult> {
         RRR_FAILPOINT("core.artifact.ksets");
-        // The draws scan the full dataset only without an index; only then
-        // is the shared columnar mirror fetched (bit-identical collection
-        // either way — which is also why the mirror does not key the cache).
-        std::shared_ptr<const data::ColumnBlocks> blocks;
-        if (candidates == nullptr) {
-          RRR_ASSIGN_OR_RETURN(
-              blocks, SharedColumnBlocks(options.threads, ctx));
-        }
-        return SampleKSets(data_, k, options, ctx, candidates, blocks.get());
+        return SampleKSets(data_, k, options, ctx, candidates,
+                           column_blocks_.get());
       });
 }
 
@@ -223,16 +216,10 @@ PreparedDataset::SharedCandidateIndex(size_t k, size_t threads,
               RRR_FAILPOINT("core.artifact.candidate_index");
               CandidateIndexOptions build = options_.candidate;
               build.threads = threads != 0 ? threads : build.threads;
-              // The shared mirror feeds the build's sort-by-sum pass (and
-              // is cheap relative to the dominance count it precedes).
-              std::shared_ptr<const data::ColumnBlocks> blocks;
-              RRR_ASSIGN_OR_RETURN(blocks,
-                                   SharedColumnBlocks(threads, ctx));
               CandidateIndex::Outcome outcome;
               RRR_ASSIGN_OR_RETURN(
                   outcome, CandidateIndex::Create(data_, kk, build, ctx,
-                                                  counts.get(),
-                                                  blocks.get()));
+                                                  counts.get()));
               if (outcome.counts != nullptr) {
                 MutexLock lock(candidate_counts_mu_);
                 if (kk > candidate_counts_.cap) {
@@ -279,15 +266,12 @@ size_t KSetSampleBytes(const KSetSampleResult& sample) {
 
 PreparedDataset::ArtifactBytes PreparedDataset::ApproxArtifactBytes() const {
   ArtifactBytes bytes;
-  bytes.dataset = data_.size() * data_.dims() * sizeof(double);
+  // The mirror's share includes the per-block column bounds (2 * d doubles
+  // per block) that back block-max pruning.
+  bytes.dataset = data_.size() * data_.dims() * sizeof(double) +
+                  column_blocks_->ApproxBytes();
   if (sweep_built_.load(std::memory_order_acquire)) {
     bytes.dataset += sweep_->ApproxBytes();
-  }
-  if (std::shared_ptr<const data::ColumnBlocks> blocks =
-          column_blocks_.Peek()) {
-    // Includes the per-block column bounds (2 * d doubles per block) that
-    // back block-max pruning — the metadata rides the mirror's budget.
-    bytes.column_blocks = blocks->ApproxBytes();
   }
   if (std::shared_ptr<const std::vector<int32_t>> sky = skyline_.Peek()) {
     bytes.skyline = IdVectorBytes(*sky);
@@ -318,7 +302,6 @@ PreparedDataset::ArtifactBytes PreparedDataset::ApproxArtifactBytes() const {
 
 size_t PreparedDataset::EvictSharedArtifacts() const {
   const size_t freed = ApproxArtifactBytes().evictable();
-  column_blocks_.Evict();
   skyline_.Evict();
   convex_maxima_.Evict();
   kset_cache_.Clear();

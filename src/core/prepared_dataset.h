@@ -39,25 +39,8 @@ namespace internal {
 template <typename V>
 class LazyCell {
  public:
-  /// `compute` is a callable returning Result<V>, invoked at most once
-  /// concurrently. On success every caller shares one immutable value;
-  /// `cache_hit` (may be null) reports whether this call found it ready.
-  /// Seeds the slot with an already-computed value; later GetOrCompute
-  /// callers share it as a hit. Only valid before any compute started
-  /// (the versioned-update path seeds incrementally-maintained artifacts
-  /// at construction, when the cell is necessarily idle).
-  void Put(V value) {
-    MutexLock lock(mu_);
-    RRR_CHECK(state_ == State::kIdle)
-        << "LazyCell::Put on a cell that already computed";
-    value_ = std::make_shared<const V>(std::move(value));
-    state_ = State::kReady;
-    cv_.NotifyAll();
-  }
-
-  /// The value if already computed (or Put), else null — never triggers or
-  /// waits for a compute. The dynamic-update layer peeks so an update only
-  /// maintains artifacts that some query actually paid for.
+  /// The value if already computed, else null — never triggers or waits
+  /// for a compute (the size-accounting walk peeks).
   std::shared_ptr<const V> Peek() const {
     MutexLock lock(mu_);
     return state_ == State::kReady ? value_ : nullptr;
@@ -80,6 +63,9 @@ class LazyCell {
     return true;
   }
 
+  /// `compute` is a callable returning Result<V>, invoked at most once
+  /// concurrently. On success every caller shares one immutable value;
+  /// `cache_hit` (may be null) reports whether this call found it ready.
   template <typename Fn>
   Result<std::shared_ptr<const V>> GetOrCompute(const ExecContext& ctx,
                                                 bool* cache_hit,
@@ -225,6 +211,10 @@ class KeyedLazyCache {
 ///
 /// Owned artifacts:
 ///  - the validated (non-empty, all-finite) dataset itself;
+///  - its columnar mirror (data/column_blocks.h), built once at creation
+///    and kept for the object's lifetime: every full-data scan — corner
+///    top-k, K-SETr draws, endpoint patches, evaluator rank counts — runs
+///    through the blocked scoring kernel over it;
 ///  - for d == 2, the AngularSweep (initial ranked order) behind full-data
 ///    FindRanges and the exact evaluator, built on first use instead of per
 ///    call (queries the candidate index serves never build it);
@@ -262,9 +252,10 @@ class PreparedDataset {
   /// scratch on first query.
   ///
   /// Everything here must be a pure function of the new dataset — the seed
-  /// changes first-query cost, never any result. `blocks`, when non-null,
-  /// is a mirror of exactly the new dataset's rows (possibly masked or
-  /// appended-to; its source pointer is rebound to the prepared copy).
+  /// changes maintenance cost, never any result. `blocks`, when non-null, is a
+  /// mirror of exactly the new dataset's rows (possibly masked or
+  /// appended-to; its source pointer is rebound to the prepared copy); when
+  /// null, CreateVersioned builds a dense one.
   /// `counts`, when non-null, are always-outranker counts capped at
   /// `counts_cap` (the CandidateIndex::CountAlwaysOutrankers contract).
   struct UpdateSeed {
@@ -276,8 +267,9 @@ class PreparedDataset {
   };
 
   /// Validates `dataset` (non-empty, every cell finite — InvalidArgument
-  /// otherwise) and takes ownership; builds no artifact (sweep() sorts on
-  /// its first call). Data is assumed already normalized higher-is-better,
+  /// otherwise), takes ownership and builds the columnar mirror — one
+  /// O(n d) transpose; every other artifact is lazy (sweep() sorts on its
+  /// first call). Data is assumed already normalized higher-is-better,
   /// as every solver requires. The prepared dataset gets a fresh version
   /// token (its own lineage, ordinal 0).
   static Result<std::shared_ptr<const PreparedDataset>> Create(
@@ -309,22 +301,19 @@ class PreparedDataset {
   /// Counted in ArtifactBytes::dataset once built.
   const AngularSweep* sweep() const;
 
-  /// \brief Shared columnar mirror of the dataset (data/column_blocks.h),
-  /// built lazily once — one O(n d) transpose — and handed by the engine to
-  /// every scoring hot path (corner top-k scans, sampler draws, endpoint
-  /// patches, evaluator rank scans) so they run through the blocked scoring
-  /// kernel (topk/score_kernel.h). Results are bit-identical with and
-  /// without the mirror; only throughput changes. `threads` fans the
-  /// transpose out on the first call.
-  Result<std::shared_ptr<const data::ColumnBlocks>> SharedColumnBlocks(
-      size_t threads = 0, const ExecContext& ctx = {},
-      bool* cache_hit = nullptr) const;
+  /// The columnar mirror of dataset() (data/column_blocks.h), built at
+  /// creation and owned for this object's lifetime; never evicted. Counted
+  /// in ArtifactBytes::dataset.
+  const data::ColumnBlocks& column_blocks() const { return *column_blocks_; }
 
-  /// The shared mirror if some query already built it (or the update seed
-  /// carried it), else null — never builds. The dynamic-update layer peeks
-  /// so updates only maintain artifacts queries actually paid for.
-  std::shared_ptr<const data::ColumnBlocks> MaybeColumnBlocks() const {
-    return column_blocks_.Peek();
+  /// The mirror as a shared pointer, for callers that hold artifacts by
+  /// shared_ptr (rrrbench's replay). Always a hit; `threads` and `ctx` are
+  /// unused.
+  Result<std::shared_ptr<const data::ColumnBlocks>> SharedColumnBlocks(
+      size_t /*threads*/ = 0, const ExecContext& /*ctx*/ = {},
+      bool* cache_hit = nullptr) const {
+    if (cache_hit != nullptr) *cache_hit = true;
+    return column_blocks_;
   }
 
   /// The cached always-outranker counts and their cap (0 when no candidate
@@ -389,8 +378,7 @@ class PreparedDataset {
   /// behind the service layer's memory budget. Estimates (capacity-based
   /// upper bounds), not an allocation census.
   struct ArtifactBytes {
-    size_t dataset = 0;        // the validated rows themselves
-    size_t column_blocks = 0;  // lazy columnar mirror
+    size_t dataset = 0;  // the rows, their mirror and the 2D sweep
     size_t skyline = 0;
     size_t convex_maxima = 0;
     size_t ksets = 0;           // K-SETr sample cache, every key
@@ -400,8 +388,8 @@ class PreparedDataset {
 
     /// Bytes EvictSharedArtifacts can free (everything but the dataset).
     size_t evictable() const {
-      return column_blocks + skyline + convex_maxima + ksets + candidates +
-             corner_topk + candidate_counts;
+      return skyline + convex_maxima + ksets + candidates + corner_topk +
+             candidate_counts;
     }
     size_t total() const { return dataset + evictable(); }
   };
@@ -411,8 +399,9 @@ class PreparedDataset {
 
   /// \brief Sheds every shared artifact cache (evictable-cell protocol):
   /// ready lazy cells revert to idle, keyed caches and the corner memo are
-  /// emptied, cached candidate counts are dropped. The dataset itself (and
-  /// the d == 2 sweep, whose raw pointer callers may hold) stay.
+  /// emptied, cached candidate counts are dropped. The dataset itself, its
+  /// columnar mirror, and the d == 2 sweep (whose raw pointer callers may
+  /// hold) stay.
   ///
   /// Returns the approximate bytes freed. Never races an in-flight query:
   /// queries hold artifacts by shared_ptr, so eviction only severs the
@@ -461,6 +450,9 @@ class PreparedDataset {
   PreparedDataset(data::Dataset dataset, const Options& options,
                   DatasetVersion version);
 
+  /// Fills column_blocks_ with a dense mirror of data_ (construction only).
+  Status BuildColumnBlocks();
+
   data::Dataset data_;
   Options options_;
   DatasetVersion version_;
@@ -471,8 +463,10 @@ class PreparedDataset {
   // sweep_; ApproxArtifactBytes, which bypasses the once_flag, acquires it
   // before reading sweep_.
   mutable std::atomic<bool> sweep_built_{false};
+  // Built by Create/CreateVersioned right after construction, then
+  // immutable. Shared so the SharedColumnBlocks shim can hand it out.
+  std::shared_ptr<const data::ColumnBlocks> column_blocks_;
   std::unique_ptr<CornerTopKCache> corner_cache_;
-  mutable internal::LazyCell<data::ColumnBlocks> column_blocks_;
   mutable internal::LazyCell<std::vector<int32_t>> skyline_;
   mutable internal::LazyCell<std::vector<int32_t>> convex_maxima_;
   mutable internal::KeyedLazyCache<KSetKey, KSetSampleResult, KSetKeyHash>

@@ -5,8 +5,8 @@
 #include "core/candidate_index.h"
 #include "core/find_ranges.h"
 #include "geometry/angles.h"
+#include "topk/score_kernel.h"
 #include "topk/scoring.h"
-#include "topk/topk.h"
 
 namespace rrr {
 namespace core {
@@ -23,6 +23,13 @@ Result<std::vector<int32_t>> Solve2dRrr(const data::Dataset& dataset,
   // NaN coordinates make the sweep comparators' ordering undefined (the
   // event heap can cycle); fail loudly instead.
   RRR_RETURN_IF_ERROR(dataset.CheckFinite());
+  data::ColumnBlocks own_blocks;
+  if (blocks == nullptr) {
+    RRR_ASSIGN_OR_RETURN(own_blocks, data::ColumnBlocks::Build(dataset, 1));
+    blocks = &own_blocks;
+  }
+  RRR_CHECK(blocks->source() == &dataset)
+      << "Solve2dRrr: blocks mirror a different dataset";
   std::vector<ItemRange> ranges;
   RRR_ASSIGN_OR_RETURN(ranges,
                        FindRanges(dataset, k, ctx, sweep, candidates));
@@ -53,7 +60,7 @@ Result<std::vector<int32_t>> Solve2dRrr(const data::Dataset& dataset,
     const topk::LinearFunction f(axis);
     const std::vector<int32_t> endpoint_topk =
         candidates != nullptr ? candidates->TopK(f, k)
-                              : topk::TopK(dataset, f, k, blocks);
+                              : topk::TopKScan(*blocks, f, k);
     const bool hit = std::any_of(
         cover.begin(), cover.end(), [&](int32_t id) {
           return std::find(endpoint_topk.begin(), endpoint_topk.end(), id) !=

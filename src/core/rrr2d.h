@@ -39,9 +39,9 @@ struct Rrr2dOptions {
 /// AngularSweep over the same dataset (see FindRanges). `candidates` (may
 /// be null) runs the sweep and the endpoint top-k patches over the
 /// k-skyband — bit-identical output, O(band^2) instead of O(n^2) events
-/// (see FindRanges); takes precedence over `sweep`. `blocks` (may be null,
-/// must mirror `dataset`) routes the unpruned endpoint top-k patches
-/// through the blocked scoring kernel — bit-identical again.
+/// (see FindRanges); takes precedence over `sweep`. `blocks` is the
+/// columnar mirror of `dataset` the unpruned endpoint top-k patches scan;
+/// a null mirror is built (serially) for this call.
 Result<std::vector<int32_t>> Solve2dRrr(const data::Dataset& dataset,
                                         size_t k,
                                         const Rrr2dOptions& options = {},

@@ -129,8 +129,8 @@ struct DualResult {
   /// Every oracle probe in execution order, with per-probe timing and the
   /// algorithm it resolved to.
   std::vector<DualProbe> probes;
-  /// True when any probe ran degraded (a shared-artifact build failed and
-  /// the probe fell back to the legacy unpruned path — results are
+  /// True when any probe ran degraded (the candidate-index build failed
+  /// and the probe fell back to the unpruned scan — results are
   /// bit-identical, only throughput suffers; see Diagnostics::degraded).
   bool degraded = false;
   /// Block-max pruning totals summed over the non-cached probes (see

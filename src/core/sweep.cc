@@ -7,8 +7,6 @@
 
 #include "common/logging.h"
 #include "geometry/angles.h"
-#include "topk/score_kernel.h"
-#include "topk/scoring.h"
 
 namespace rrr {
 namespace core {
@@ -33,9 +31,7 @@ struct EventLater {
 
 }  // namespace
 
-AngularSweep::AngularSweep(const data::Dataset& dataset,
-                           const data::ColumnBlocks* blocks)
-    : dataset_(dataset) {
+AngularSweep::AngularSweep(const data::Dataset& dataset) : dataset_(dataset) {
   RRR_CHECK(dataset.dims() == 2) << "AngularSweep requires a 2D dataset";
   const size_t n = dataset.size();
   initial_order_.resize(n);
@@ -45,23 +41,6 @@ AngularSweep::AngularSweep(const data::Dataset& dataset,
   // scans agree at the endpoint function w = (1, 0). Same-x groups are then
   // bubbled into the theta > 0 order (y descending) by exchange events at
   // angle 0 during Run.
-  if (blocks != nullptr && n > 0) {
-    RRR_CHECK(blocks->source() == &dataset)
-        << "AngularSweep: blocks mirror a different dataset";
-    // Kernel path: materialize the endpoint scores (1*x + 0*y == x
-    // value-wise, so the comparator sees the same ordering as the strided
-    // row reads) contiguously, then sort on them.
-    std::vector<double> xs(n);
-    topk::ScoreAll(topk::LinearFunction({1.0, 0.0}), *blocks, xs.data());
-    std::sort(initial_order_.begin(), initial_order_.end(),
-              [&xs](int32_t a, int32_t b) {
-                const double ax = xs[static_cast<size_t>(a)];
-                const double bx = xs[static_cast<size_t>(b)];
-                if (ax != bx) return ax > bx;
-                return a < b;
-              });
-    return;
-  }
   const double* rows = dataset.flat();
   std::sort(initial_order_.begin(), initial_order_.end(),
             [rows](int32_t a, int32_t b) {

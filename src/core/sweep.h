@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "data/column_blocks.h"
 #include "data/dataset.h"
 
 namespace rrr {
@@ -51,13 +50,8 @@ using SweepCallback = std::function<bool(const SweepEvent&)>;
 /// the same exchange sequence with a simpler correctness argument.
 class AngularSweep {
  public:
-  /// The dataset must be 2-dimensional. `blocks` (may be null, used only
-  /// during construction) is the dataset's columnar mirror: the initial
-  /// theta = 0 scoring then runs through the blocked kernel with the
-  /// endpoint function w = (1, 0) instead of strided row reads — the
-  /// resulting order is identical (scores compare equal value-wise).
-  explicit AngularSweep(const data::Dataset& dataset,
-                        const data::ColumnBlocks* blocks = nullptr);
+  /// The dataset must be 2-dimensional.
+  explicit AngularSweep(const data::Dataset& dataset);
 
   /// Ranking at theta = 0 exactly (score = x, score ties by lower id — the
   /// library-wide tie-break of topk::Outranks), best first. Same-x groups

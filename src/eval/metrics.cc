@@ -44,7 +44,7 @@ Result<EvaluationReport> Evaluate(const data::Dataset& dataset,
     topk::LinearFunction f(
         rng.UnitWeightVector(static_cast<int>(dataset.dims())));
     const int64_t best_rank =
-        topk::MinRankOfSubset(dataset, f, subset, &blocks);
+        topk::MinRankOfSubset(blocks, f, subset);
     report.rank_regret = std::max(report.rank_regret, best_rank);
     rank_sum += best_rank;
     if (best_rank <= static_cast<int64_t>(options.k)) ++hits;

@@ -39,6 +39,11 @@ Result<RankRegretCertificate> ExactRankRegretWithinK(
     return cert;
   }
 
+  data::ColumnBlocks own_blocks;
+  if (blocks == nullptr) {
+    RRR_ASSIGN_OR_RETURN(own_blocks, data::ColumnBlocks::Build(dataset, 1));
+    blocks = &own_blocks;
+  }
   core::KSetCollection ksets;
   RRR_ASSIGN_OR_RETURN(
       ksets,
@@ -75,7 +80,7 @@ Result<RankRegretCertificate> ExactRankRegretWithinK(
     cert.within_k = false;
     cert.witness_weights = sep.weights;
     cert.witness_rank = topk::MinRankOfSubset(
-        dataset, topk::LinearFunction(sep.weights), subset, blocks);
+        *blocks, topk::LinearFunction(sep.weights), subset);
     return cert;
   }
   cert.within_k = true;

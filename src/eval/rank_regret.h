@@ -75,10 +75,10 @@ struct RankRegretCertificate {
 /// `candidates` (may be null) hands the underlying k-set enumeration the
 /// shared k-skyband index — e.g. PreparedDataset::SharedCandidateIndex(k)
 /// — shrinking its swap loops from n to the band with an identical
-/// certificate (see EnumerateKSetsGraph). `blocks` (may be null, must
-/// mirror `dataset` — e.g. PreparedDataset::SharedColumnBlocks()) routes
-/// the enumeration's seed scans and the witness rank scan through the
-/// blocked scoring kernel; identical certificate again.
+/// certificate (see EnumerateKSetsGraph). `blocks` is the columnar mirror
+/// of `dataset` — e.g. PreparedDataset::column_blocks() — that the
+/// enumeration's seed scans and the witness rank scan run over; a null
+/// mirror is built (serially) for this call.
 Result<RankRegretCertificate> ExactRankRegretWithinK(
     const data::Dataset& dataset, const std::vector<int32_t>& subset,
     size_t k, size_t threads = 0,

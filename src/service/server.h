@@ -90,8 +90,9 @@ class RrrServer {
     size_t errors = 0;
     size_t appended_rows = 0;
     size_t connections_total = 0;
-    /// Queries that succeeded on a degraded path (a shared-artifact build
-    /// failed and the engine fell back to the legacy scan, bit-identically).
+    /// Queries that succeeded on a degraded path (the candidate-index build
+    /// failed and the engine fell back to the unpruned scan,
+    /// bit-identically).
     size_t degraded_queries = 0;
     /// Block-max pruning totals over every finished query's compute
     /// (memo hits contribute nothing — their scans ran in the original

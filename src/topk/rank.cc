@@ -6,43 +6,23 @@
 namespace rrr {
 namespace topk {
 
-namespace {
+// Row `item` never outranks its own (score, item) pair, so neither count
+// below needs to exclude it.
 
-/// Outrankers of (score, item) by legacy row loop (null blocks) or the
-/// blocked kernel. The count is a pure predicate fold, so the two paths
-/// agree exactly; row `item` never outranks its own pair, so neither path
-/// excludes it.
-int64_t OutrankerCount(const data::Dataset& dataset, const LinearFunction& f,
-                       double score, int32_t item,
-                       const data::ColumnBlocks* blocks) {
-  if (blocks != nullptr) {
-    RRR_DCHECK(blocks->source() == &dataset)
-        << "rank: blocks mirror a different dataset";
-    return CountOutranking(*blocks, f, score, item);
-  }
-  int64_t count = 0;
-  const size_t n = dataset.size();
-  for (size_t j = 0; j < n; ++j) {
-    const int32_t jj = static_cast<int32_t>(j);
-    if (Outranks(f.Score(dataset.row(j)), jj, score, item)) ++count;
-  }
-  return count;
-}
-
-}  // namespace
-
-int64_t RankOf(const data::Dataset& dataset, const LinearFunction& f,
-               int32_t item, const data::ColumnBlocks* blocks) {
+int64_t RankOf(const data::ColumnBlocks& blocks, const LinearFunction& f,
+               int32_t item) {
+  const data::Dataset& dataset = *blocks.source();
   RRR_CHECK(item >= 0 && static_cast<size_t>(item) < dataset.size())
       << "RankOf: item out of range";
   const double s = f.Score(dataset.row(static_cast<size_t>(item)));
-  return 1 + OutrankerCount(dataset, f, s, item, blocks);
+  return 1 + CountOutranking(blocks, f, s, item);
 }
 
-int64_t MinRankOfSubset(const data::Dataset& dataset, const LinearFunction& f,
-                        const std::vector<int32_t>& subset,
-                        const data::ColumnBlocks* blocks) {
+int64_t MinRankOfSubset(const data::ColumnBlocks& blocks,
+                        const LinearFunction& f,
+                        const std::vector<int32_t>& subset) {
   RRR_CHECK(!subset.empty()) << "MinRankOfSubset: empty subset";
+  const data::Dataset& dataset = *blocks.source();
   // Best member under the tie-broken order (subset-sized, stays row-wise).
   int32_t best = subset[0];
   double best_score = f.Score(dataset.row(static_cast<size_t>(best)));
@@ -54,7 +34,7 @@ int64_t MinRankOfSubset(const data::Dataset& dataset, const LinearFunction& f,
       best_score = s;
     }
   }
-  return 1 + OutrankerCount(dataset, f, best_score, best, blocks);
+  return 1 + CountOutranking(blocks, f, best_score, best);
 }
 
 }  // namespace topk

@@ -54,34 +54,11 @@ __attribute__((target("avx2"))) void ScoreBlockAvx2(const double* weights,
     }
   }
 }
-
-/// AVX-512F block scorer: the whole 64-lane block in one round — 8 zmm
-/// accumulators (512 bytes of live state) leave half the 32-register file
-/// for the broadcast weight and column loads. Same contract as the AVX2
-/// path: explicit mul then add per lane in ascending j, never vfmadd, so
-/// every lane's rounding sequence matches the scalar loop bit for bit.
-__attribute__((target("avx512f"))) void ScoreBlockAvx512(
-    const double* weights, size_t d, const double* cols, double* out) {
-  __m512d acc[8];
-  for (int i = 0; i < 8; ++i) acc[i] = _mm512_setzero_pd();
-  for (size_t j = 0; j < d; ++j) {
-    const __m512d wj = _mm512_set1_pd(weights[j]);
-    const double* col = cols + j * kBlockRows;
-    for (int i = 0; i < 8; ++i) {
-      acc[i] = _mm512_add_pd(acc[i],
-                             _mm512_mul_pd(wj, _mm512_loadu_pd(col + 8 * i)));
-    }
-  }
-  for (int i = 0; i < 8; ++i) {
-    _mm512_storeu_pd(out + 8 * i, acc[i]);
-  }
-}
 #endif  // RRR_SCORE_KERNEL_X86
 
 /// Widest path the host CPU can execute (build-time x86 gate included).
 ScoreKernelPath WidestSupportedPath() {
 #ifdef RRR_SCORE_KERNEL_X86
-  if (__builtin_cpu_supports("avx512f")) return ScoreKernelPath::kAvx512;
   if (__builtin_cpu_supports("avx2")) return ScoreKernelPath::kAvx2;
 #endif
   return ScoreKernelPath::kScalarBlocked;
@@ -108,11 +85,8 @@ ScoreKernelPath PathFromEnv() {
   if (std::strcmp(force, "avx2") == 0) {
     return ClampToSupported(ScoreKernelPath::kAvx2, "RRR_SCORE_KERNEL");
   }
-  if (std::strcmp(force, "avx512") == 0) {
-    return ClampToSupported(ScoreKernelPath::kAvx512, "RRR_SCORE_KERNEL");
-  }
   RRR_LOG(WARNING) << "score kernel: unknown RRR_SCORE_KERNEL value \""
-                   << force << "\" (want scalar|avx2|avx512); "
+                   << force << "\" (want scalar|avx2); "
                    << "falling back to the scalar path";
   return ScoreKernelPath::kScalarBlocked;
 }
@@ -186,8 +160,6 @@ const char* ScoreKernelPathName(ScoreKernelPath path) {
       return "scalar-blocked";
     case ScoreKernelPath::kAvx2:
       return "avx2";
-    case ScoreKernelPath::kAvx512:
-      return "avx512";
   }
   return "unknown";
 }
@@ -236,39 +208,14 @@ void ScoreBlockScalar(const double* weights, size_t d, const double* cols,
   }
 }
 
-bool ScoreBlockSimd(const double* weights, size_t d, const double* cols,
-                    double* out) {
-#ifdef RRR_SCORE_KERNEL_X86
-  if (__builtin_cpu_supports("avx512f")) {
-    ScoreBlockAvx512(weights, d, cols, out);
-    return true;
-  }
-  if (__builtin_cpu_supports("avx2")) {
-    ScoreBlockAvx2(weights, d, cols, out);
-    return true;
-  }
-  return false;
-#else
-  (void)weights;
-  (void)d;
-  (void)cols;
-  (void)out;
-  return false;
-#endif
-}
-
 void ScoreBlock(const double* weights, size_t d, const double* cols,
                 double* out) {
   switch (ActiveScoreKernelPath()) {
 #ifdef RRR_SCORE_KERNEL_X86
-    case ScoreKernelPath::kAvx512:
-      ScoreBlockAvx512(weights, d, cols, out);
-      return;
     case ScoreKernelPath::kAvx2:
       ScoreBlockAvx2(weights, d, cols, out);
       return;
 #else
-    case ScoreKernelPath::kAvx512:
     case ScoreKernelPath::kAvx2:
       break;  // unreachable: non-x86 dispatch never installs a SIMD path
 #endif

@@ -18,19 +18,19 @@ namespace topk {
 /// d terms in ascending attribute order — exactly the order of
 /// LinearFunction::Score's scalar loop. Multiplications and additions are
 /// never fused (the build sets -ffp-contract=off, and the SIMD path uses
-/// explicit mul+add, not FMA), so every path — scalar row loop, blocked
-/// scalar, SIMD — produces bit-identical scores. Consumers may therefore
-/// switch freely between paths without tolerance-based comparisons; the
-/// contract is pinned by tests/topk/score_kernel_test.cc.
+/// explicit mul+add, not FMA), so both paths — blocked scalar and AVX2 —
+/// produce scores bit-identical to LinearFunction::Score. Consumers may
+/// therefore compare kernel results against a per-row reference without
+/// tolerances; the contract is pinned by tests/topk/score_kernel_test.cc.
 ///
-/// Dispatch: ScoreBlock picks the widest path the host CPU supports at
-/// runtime (AVX-512F, then AVX2, then scalar on x86-64; set
-/// RRR_SCORE_KERNEL=scalar|avx2|avx512 in the environment to pin a path —
-/// an unknown value falls back to scalar with one warning, a supported name
-/// the host can't run clamps down to the widest available, also with a
-/// warning). Building with -DRRR_NATIVE=ON additionally lets the compiler
-/// autovectorize the scalar-blocked loop for the build host; the dispatched
-/// results are identical either way.
+/// Dispatch: ScoreBlock runs AVX2 when the host CPU supports it at runtime
+/// and the scalar-blocked loop otherwise (the only path off x86-64). Set
+/// RRR_SCORE_KERNEL=scalar|avx2 in the environment to pin a path — an
+/// unknown value falls back to scalar with one warning, and avx2 on a host
+/// without it clamps to scalar, also with a warning. Building with
+/// -DRRR_NATIVE=ON additionally lets the compiler autovectorize the
+/// scalar-blocked loop for the build host; the dispatched results are
+/// identical either way.
 ///
 /// \par Block-max pruning
 /// TopKScan/MaxScore/CountOutranking consult data::ColumnBlocks' per-block
@@ -47,24 +47,22 @@ namespace topk {
 enum class ScoreKernelPath {
   kScalarBlocked,  ///< autovectorizable scalar loop over the block lanes
   kAvx2,           ///< 4-wide AVX2 doubles, explicit mul+add (no FMA)
-  kAvx512,         ///< 8-wide AVX-512F doubles, explicit mul+add (no FMA)
 };
 
 /// The dispatched path (after the RRR_SCORE_KERNEL env override).
 ScoreKernelPath ActiveScoreKernelPath();
 
 /// Stable lowercase name for bench/diagnostic output ("scalar-blocked",
-/// "avx2", "avx512").
+/// "avx2").
 const char* ScoreKernelPathName(ScoreKernelPath path);
 
 /// \brief Re-pins the dispatched path at runtime (bench/test hook for
 /// sweeping paths inside one process; production code should rely on the
 /// env override instead).
 ///
-/// Requests the host can't honor clamp to the widest supported path with a
-/// warning. Returns the path actually installed. Every path is
-/// bit-identical, so flipping mid-process never changes results — only
-/// throughput.
+/// A request the host can't honor clamps to scalar with a warning.
+/// Returns the path actually installed. Every path is bit-identical, so
+/// flipping mid-process never changes results — only throughput.
 ScoreKernelPath ForceScoreKernelPath(ScoreKernelPath path);
 
 /// Per-call override for block-max pruning in the scanning entry points.
@@ -119,15 +117,7 @@ double BlockUpperBound(const double* weights, size_t d, const double* maxs,
 void ScoreBlockScalar(const double* weights, size_t d, const double* cols,
                       double* out);
 
-/// SIMD ScoreBlock; returns false (out untouched) when the CPU or build
-/// lacks any vector path. Runs the widest SIMD tier the host supports
-/// (AVX-512F, else AVX2) regardless of the dispatch override — the
-/// bench/test probe for "what can this machine do". Bit-identical to
-/// ScoreBlockScalar when it runs.
-bool ScoreBlockSimd(const double* weights, size_t d, const double* cols,
-                    double* out);
-
-/// Runtime-dispatched ScoreBlock (SIMD when available, scalar otherwise).
+/// Runtime-dispatched ScoreBlock: the ActiveScoreKernelPath() tier.
 void ScoreBlock(const double* weights, size_t d, const double* cols,
                 double* out);
 
@@ -140,9 +130,9 @@ void ScoreBlock(const double* weights, size_t d, const double* cols,
 void ScoreAll(const LinearFunction& f, const data::ColumnBlocks& blocks,
               double* out);
 
-/// \brief Fused scoring + top-k selection over the mirror: bit-identical
-/// ids, in bit-identical order, to topk::TopK(*blocks.source(), f, k) —
-/// score descending, ties by ascending id. k is clamped to blocks.rows().
+/// \brief Fused scoring + top-k selection over the mirror: the ids of the
+/// k best rows of blocks.source() under f, best first — score descending,
+/// ties by ascending id (the Outranks order). k is clamped to blocks.rows().
 ///
 /// One pass of buffered threshold selection: each block is scored into a
 /// stack buffer and its lanes are filtered against the running k-th best
@@ -158,7 +148,7 @@ std::vector<int32_t> TopKScan(const data::ColumnBlocks& blocks,
                               ScanStats* stats = nullptr);
 
 /// The same selection as TopKScan, returned as a set: the top-k ids sorted
-/// ascending (== topk::TopKSet), without the best-first sort.
+/// ascending (the k-set form), without the best-first sort.
 std::vector<int32_t> TopKSetScan(const data::ColumnBlocks& blocks,
                                  const LinearFunction& f, size_t k,
                                  BlockSkip skip = BlockSkip::kAuto,

@@ -1,8 +1,10 @@
 // Eviction protocol of the shared-artifact caches: evicting only severs
 // cache references (in-flight holders keep their shared_ptrs), and every
 // artifact rebuilds bit-identically on the next touch because it is a
-// deterministic pure function of the dataset. The concurrent hammer below
-// is the TSan witness that eviction never races a live query.
+// deterministic pure function of the dataset. The columnar mirror is the
+// exception by design: built at creation, owned for the object's lifetime,
+// and never evicted. The concurrent hammer below is the TSan witness that
+// eviction never races a live query.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +16,8 @@
 #include "core/engine.h"
 #include "core/prepared_dataset.h"
 #include "data/generators.h"
+#include "test_util.h"
+#include "topk/score_kernel.h"
 
 namespace rrr {
 namespace core {
@@ -68,9 +72,51 @@ TEST(ArtifactEviction, ByteAccountingCoversEveryArtifactClass) {
   EXPECT_GT(engine.value()->ApproxMemoBytes(), 0u);
 }
 
+TEST(ArtifactEviction, MirrorExistsRightAfterCreate) {
+  std::shared_ptr<const PreparedDataset> prepared = Prepare(300, 3, 7);
+  const data::ColumnBlocks& mirror = prepared->column_blocks();
+  EXPECT_EQ(mirror.source(), &prepared->dataset());
+  EXPECT_EQ(mirror.rows(), prepared->size());
+  EXPECT_EQ(mirror.dims(), prepared->dims());
+  EXPECT_FALSE(mirror.masked());
+  EXPECT_TRUE(mirror.has_block_bounds());
+  // Counted with the rows, not in the evictable pool.
+  const PreparedDataset::ArtifactBytes bytes = prepared->ApproxArtifactBytes();
+  EXPECT_EQ(bytes.dataset,
+            prepared->size() * prepared->dims() * sizeof(double) +
+                mirror.ApproxBytes());
+  EXPECT_EQ(bytes.evictable(), 0u);
+  // The shared-pointer shim hands out the same mirror, always as a hit.
+  bool hit = false;
+  Result<std::shared_ptr<const data::ColumnBlocks>> shared =
+      prepared->SharedColumnBlocks(4, {}, &hit);
+  ASSERT_TRUE(shared.ok());
+  EXPECT_EQ(shared.value().get(), &mirror);
+  EXPECT_TRUE(hit);
+}
+
+TEST(ArtifactEviction, MirrorSurvivesEviction) {
+  std::shared_ptr<const PreparedDataset> prepared = Prepare(300, 3, 11);
+  Result<std::shared_ptr<RrrEngine>> engine = RrrEngine::Create(prepared);
+  ASSERT_TRUE(engine.ok());
+  ASSERT_TRUE(engine.value()->Solve(4).ok());
+  const data::ColumnBlocks* before = &prepared->column_blocks();
+  const size_t dataset_bytes = prepared->ApproxArtifactBytes().dataset;
+
+  ASSERT_GT(prepared->EvictSharedArtifacts(), 0u);
+  EXPECT_EQ(&prepared->column_blocks(), before);
+  EXPECT_EQ(prepared->ApproxArtifactBytes().dataset, dataset_bytes);
+  const data::ColumnBlocks fresh =
+      testing::MustBuildBlocks(prepared->dataset());
+  const topk::LinearFunction diagonal(geometry::Vec(3, 1.0));
+  EXPECT_EQ(topk::TopKScan(prepared->column_blocks(), diagonal, 10),
+            topk::TopKScan(fresh, diagonal, 10));
+}
+
 TEST(ArtifactEviction, LazyCellEvictSkipsIdleAndComputing) {
   std::shared_ptr<const PreparedDataset> prepared = Prepare(100, 2, 3);
-  // Nothing computed yet: eviction finds nothing and frees nothing.
+  // Nothing lazy computed yet (the eager mirror is not evictable):
+  // eviction finds nothing and frees nothing.
   EXPECT_EQ(prepared->EvictSharedArtifacts(), 0u);
 }
 
@@ -135,7 +181,7 @@ TEST(ArtifactEviction, RebuildFaultDegradesThenHealsBitIdentically) {
   ASSERT_GT(prepared->ApproxArtifactBytes().evictable(), 0u);
 
   // Evict everything, then make the candidate-index REBUILD die: the
-  // query must fall back to the legacy unpruned path, not error.
+  // query must fall back to the unpruned mirror scan, not error.
   ASSERT_GT(prepared->EvictSharedArtifacts(), 0u);
   ASSERT_TRUE(FailpointRegistry::Instance()
                   .Arm("core.artifact.candidate_index", "once")

@@ -17,8 +17,11 @@
 
 #include "core/engine.h"
 #include "core/prepared_dataset.h"
+#include "data/column_blocks.h"
 #include "data/dataset.h"
+#include "geometry/vec.h"
 #include "test_util.h"
+#include "topk/score_kernel.h"
 
 namespace rrr {
 namespace core {
@@ -327,6 +330,99 @@ TEST(DynamicMemoTest, SolveDualProbesShareOneSnapshot) {
   ASSERT_TRUE(pinned_replay.ok());
   EXPECT_EQ(pinned_replay->k, before->k);
   EXPECT_EQ(pinned_replay->representative, before->representative);
+}
+
+/// Every published version owns a columnar mirror of exactly its rows:
+/// bound to its own dataset, and scanning like a fresh dense Build of
+/// them — whether the mirror was carried forward (appended tiles, masked
+/// lanes) or re-transposed at publication.
+void ExpectMirrorMatchesFreshBuild(const PreparedDataset& version,
+                                   const std::string& tag) {
+  const data::Dataset& rows = version.dataset();
+  const data::ColumnBlocks& mirror = version.column_blocks();
+  ASSERT_EQ(mirror.source(), &rows) << tag;
+  ASSERT_EQ(mirror.rows(), rows.size()) << tag;
+  ASSERT_EQ(mirror.dims(), rows.dims()) << tag;
+  const data::ColumnBlocks fresh = rrr::testing::MustBuildBlocks(rows);
+  const size_t n = rows.size();
+  const size_t d = rows.dims();
+  std::vector<topk::LinearFunction> probes;
+  for (size_t axis = 0; axis < d; ++axis) {
+    geometry::Vec w(d, 0.0);
+    w[axis] = 1.0;
+    probes.emplace_back(std::move(w));
+  }
+  probes.emplace_back(geometry::Vec(d, 1.0));
+  for (const topk::LinearFunction& f : probes) {
+    for (size_t k : {size_t{1}, size_t{5}, n}) {
+      EXPECT_EQ(topk::TopKScan(mirror, f, k), topk::TopKScan(fresh, f, k))
+          << tag << " k=" << k;
+    }
+    for (int32_t id : {0, static_cast<int32_t>(n / 2),
+                       static_cast<int32_t>(n) - 1}) {
+      const double score = f.Score(rows.row(static_cast<size_t>(id)));
+      EXPECT_EQ(topk::CountOutranking(mirror, f, score, id),
+                topk::CountOutranking(fresh, f, score, id))
+          << tag << " id=" << id;
+    }
+  }
+}
+
+std::shared_ptr<DynamicDataset> MakeDynamic(DynamicDatasetOptions options) {
+  // 150 rows: two full tiles plus a partial one, so appends fill the
+  // partial tile and deletes hit full and partial tiles alike.
+  Result<std::shared_ptr<DynamicDataset>> dyn = DynamicDataset::Create(
+      MakeDataset(rrr::testing::FamilyRows(DataFamily::kDuplicateHeavy, 150,
+                                           3, 19)),
+      std::move(options));
+  RRR_CHECK(dyn.ok()) << dyn.status().ToString();
+  return std::move(dyn).value();
+}
+
+TEST(DynamicMirrorTest, AppendPublishesAnAppendedMirror) {
+  std::shared_ptr<DynamicDataset> dyn = MakeDynamic({});
+  ExpectMirrorMatchesFreshBuild(*dyn->Snapshot(), "initial");
+  ASSERT_TRUE(dyn->Insert({0.3, 0.9, 0.1}).ok());
+  ExpectMirrorMatchesFreshBuild(*dyn->Snapshot(), "insert");
+  ASSERT_TRUE(
+      dyn->BatchAppend(rrr::testing::FamilyRows(DataFamily::kUniform, 70, 3,
+                                                23))
+          .ok());
+  ExpectMirrorMatchesFreshBuild(*dyn->Snapshot(), "batch-append");
+}
+
+TEST(DynamicMirrorTest, DeleteMasksThenCompactsPastMaxDeadFraction) {
+  DynamicDatasetOptions options;
+  // Two dead lanes of ~150 stay under it; a third crosses it.
+  options.max_dead_fraction = 0.015;
+  std::shared_ptr<DynamicDataset> dyn = MakeDynamic(options);
+  // Below the threshold the carried-forward mirror masks the dead lane.
+  ASSERT_TRUE(dyn->Delete(70).ok());
+  EXPECT_TRUE(dyn->Snapshot()->column_blocks().masked());
+  ExpectMirrorMatchesFreshBuild(*dyn->Snapshot(), "delete 1");
+  ASSERT_TRUE(dyn->Delete(0).ok());
+  EXPECT_TRUE(dyn->Snapshot()->column_blocks().masked());
+  ExpectMirrorMatchesFreshBuild(*dyn->Snapshot(), "delete 2");
+  // An append on a masked base keeps the mask.
+  ASSERT_TRUE(dyn->Insert({0.5, 0.5, 0.5}).ok());
+  EXPECT_TRUE(dyn->Snapshot()->column_blocks().masked());
+  ExpectMirrorMatchesFreshBuild(*dyn->Snapshot(), "append on masked");
+  // Past the threshold the version re-transposes densely.
+  ASSERT_TRUE(dyn->Delete(140).ok());
+  EXPECT_FALSE(dyn->Snapshot()->column_blocks().masked());
+  ExpectMirrorMatchesFreshBuild(*dyn->Snapshot(), "compacted");
+}
+
+TEST(DynamicMirrorTest, NonIncrementalVersionsBuildDenseMirrors) {
+  DynamicDatasetOptions options;
+  options.incremental_artifacts = false;
+  std::shared_ptr<DynamicDataset> dyn = MakeDynamic(options);
+  ASSERT_TRUE(dyn->Insert({0.3, 0.9, 0.1}).ok());
+  EXPECT_FALSE(dyn->Snapshot()->column_blocks().masked());
+  ExpectMirrorMatchesFreshBuild(*dyn->Snapshot(), "insert");
+  ASSERT_TRUE(dyn->Delete(70).ok());
+  EXPECT_FALSE(dyn->Snapshot()->column_blocks().masked());
+  ExpectMirrorMatchesFreshBuild(*dyn->Snapshot(), "delete");
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 #include "data/generators.h"
 #include "geometry/angles.h"
 #include "test_util.h"
-#include "topk/rank.h"
 #include "topk/scoring.h"
 
 namespace rrr {
@@ -71,7 +70,8 @@ TEST_P(FindRangesOracleTest, RangesBoundTopKMembershipExactly) {
   for (double theta : testing::AngleGrid(160)) {
     topk::LinearFunction f({std::cos(theta), std::sin(theta)});
     for (size_t id = 0; id < ds.size(); ++id) {
-      const int64_t rank = topk::RankOf(ds, f, static_cast<int32_t>(id));
+      const int64_t rank =
+          testing::BruteRankOf(ds, f, static_cast<int32_t>(id));
       const auto& r = (*ranges)[id];
       if (rank <= k) {
         // In the top-k here: the item's range must contain theta.
@@ -107,7 +107,7 @@ TEST(FindRangesTest, RangeEndpointsWitnessTopKMembership) {
     for (double theta : {r.begin + 1e-9, r.end - 1e-9}) {
       theta = std::clamp(theta, 0.0, geometry::kHalfPi);
       topk::LinearFunction f({std::cos(theta), std::sin(theta)});
-      EXPECT_LE(topk::RankOf(ds, f, static_cast<int32_t>(id)),
+      EXPECT_LE(testing::BruteRankOf(ds, f, static_cast<int32_t>(id)),
                 static_cast<int64_t>(k) + 1)
           << "id " << id;
     }

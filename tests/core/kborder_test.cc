@@ -8,7 +8,6 @@
 #include "data/generators.h"
 #include "geometry/angles.h"
 #include "test_util.h"
-#include "topk/rank.h"
 #include "topk/scoring.h"
 
 namespace rrr {
@@ -63,7 +62,7 @@ TEST_P(KBorderOracleTest, SegmentOwnerHasRankKInsideItsSegment) {
     if (seg.end - seg.begin < 1e-9) continue;  // too thin to probe safely
     const double mid = 0.5 * (seg.begin + seg.end);
     topk::LinearFunction f({std::cos(mid), std::sin(mid)});
-    EXPECT_EQ(topk::RankOf(ds, f, seg.item), k)
+    EXPECT_EQ(testing::BruteRankOf(ds, f, seg.item), k)
         << "segment [" << seg.begin << ", " << seg.end << "]";
   }
 }
@@ -97,8 +96,8 @@ TEST(KBorderTest, BorderChangesAreLocal) {
     topk::LinearFunction fb({std::cos(before), std::sin(before)});
     topk::LinearFunction fa({std::cos(after), std::sin(after)});
     // Old owner at rank k before; new owner at rank k after.
-    EXPECT_EQ(topk::RankOf(ds, fb, (*border)[i - 1].item), k);
-    EXPECT_EQ(topk::RankOf(ds, fa, (*border)[i].item), k);
+    EXPECT_EQ(testing::BruteRankOf(ds, fb, (*border)[i - 1].item), k);
+    EXPECT_EQ(testing::BruteRankOf(ds, fa, (*border)[i].item), k);
   }
 }
 

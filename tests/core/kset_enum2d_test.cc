@@ -7,7 +7,6 @@
 #include "data/generators.h"
 #include "lp/separation.h"
 #include "test_util.h"
-#include "topk/topk.h"
 
 namespace rrr {
 namespace core {
@@ -64,7 +63,7 @@ TEST_P(KSetEnum2DOracleTest, SampledTopKSetsAreAllEnumerated) {
   ASSERT_TRUE(ksets.ok());
   for (double theta : testing::AngleGrid(500)) {
     KSet observed;
-    observed.ids = topk::TopKSet(
+    observed.ids = testing::BruteTopKSet(
         ds,
         topk::LinearFunction({std::cos(theta), std::sin(theta)}),
         static_cast<size_t>(k));

@@ -9,7 +9,6 @@
 #include "data/generators.h"
 #include "lp/separation.h"
 #include "test_util.h"
-#include "topk/topk.h"
 
 namespace rrr {
 namespace core {
@@ -73,7 +72,7 @@ TEST(KSetGraphTest, ThreeDSampledTopKSetsAreEnumerated) {
   Rng rng(5);
   for (int rep = 0; rep < 400; ++rep) {
     KSet observed;
-    observed.ids = topk::TopKSet(
+    observed.ids = testing::BruteTopKSet(
         ds, topk::LinearFunction(rng.UnitWeightVector(3)), k);
     EXPECT_TRUE(ksets->Contains(observed));
   }

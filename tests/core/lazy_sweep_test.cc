@@ -22,8 +22,11 @@ namespace rrr {
 namespace core {
 namespace {
 
+/// The always-counted part of ArtifactBytes::dataset: the rows and their
+/// eagerly built columnar mirror.
 size_t RowBytes(const PreparedDataset& prepared) {
-  return prepared.size() * prepared.dims() * sizeof(double);
+  return prepared.size() * prepared.dims() * sizeof(double) +
+         prepared.column_blocks().ApproxBytes();
 }
 
 std::shared_ptr<const PreparedDataset> Prepare(data::Dataset dataset) {

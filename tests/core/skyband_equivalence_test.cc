@@ -25,9 +25,7 @@
 #include "core/rrr2d.h"
 #include "data/generators.h"
 #include "eval/rank_regret.h"
-#include "topk/rank.h"
 #include "topk/score_kernel.h"
-#include "topk/topk.h"
 #include "test_util.h"
 
 namespace rrr {
@@ -130,9 +128,10 @@ TEST(SkybandEquivalenceTest, TopKMatchesFullScanOnEveryFamily) {
            ProbeFunctions(family.data.dims(), 99)) {
         // The band contract covers every k' <= k, not just k itself.
         for (size_t kq : {size_t{1}, k / 2, k}) {
-          EXPECT_EQ(index->TopK(f, kq), topk::TopK(family.data, f, kq))
+          EXPECT_EQ(index->TopK(f, kq), testing::BruteTopK(family.data, f, kq))
               << family.name << " k=" << k << " k'=" << kq;
-          EXPECT_EQ(index->TopKSet(f, kq), topk::TopKSet(family.data, f, kq))
+          EXPECT_EQ(index->TopKSet(f, kq),
+                    testing::BruteTopKSet(family.data, f, kq))
               << family.name << " k=" << k << " k'=" << kq;
         }
       }
@@ -153,7 +152,7 @@ TEST(SkybandEquivalenceTest, TopKClampAndOversizedK) {
   EXPECT_EQ(index->band_size(), ds.size());  // k >= n keeps everything
   for (const topk::LinearFunction& f : ProbeFunctions(3, 5)) {
     EXPECT_EQ(index->TopK(f, ds.size() + 10),
-              topk::TopK(ds, f, ds.size() + 10));
+              testing::BruteTopK(ds, f, ds.size() + 10));
   }
 }
 
@@ -308,7 +307,7 @@ TEST(SkybandEquivalenceTest, MinRankOfSubsetExactIncludingFallbacks) {
               0, static_cast<int64_t>(family.data.size()) - 1)));
         }
         EXPECT_EQ(index->MinRankOfSubset(f, subset),
-                  topk::MinRankOfSubset(family.data, f, subset))
+                  testing::BruteMinRankOfSubset(family.data, f, subset))
             << family.name;
       }
     }

@@ -9,7 +9,6 @@
 #include "data/generators.h"
 #include "test_util.h"
 #include "topk/scoring.h"
-#include "topk/topk.h"
 
 namespace rrr {
 namespace core {

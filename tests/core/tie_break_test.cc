@@ -18,7 +18,6 @@
 #include "data/generators.h"
 #include "eval/rank_regret.h"
 #include "topk/scoring.h"
-#include "topk/topk.h"
 #include "test_util.h"
 
 namespace rrr {
@@ -165,7 +164,7 @@ TEST(TieBreakTest, Enum2DContainsEverySampledKSetOnDuplicateData) {
     ASSERT_TRUE(enumerated.ok());
     for (double theta : testing::AngleGrid(257)) {
       KSet probe;
-      probe.ids = topk::TopKSet(
+      probe.ids = testing::BruteTopKSet(
           ds, topk::LinearFunction::FromAngles({theta}), k);
       EXPECT_TRUE(enumerated->Contains(probe))
           << "k=" << k << " theta=" << theta;
@@ -195,7 +194,7 @@ TEST(TieBreakTest, ThetaZeroEndpointUsesTheIdTieBreak) {
   // sweep must start in that order and fire an angle-0 exchange to restore
   // the y-descending order for every theta > 0.
   const data::Dataset ds = testing::MakeDataset({{0.5, 0.2}, {0.5, 0.8}});
-  EXPECT_EQ(topk::TopK(ds, topk::LinearFunction({1.0, 0.0}), 2),
+  EXPECT_EQ(testing::BruteTopK(ds, topk::LinearFunction({1.0, 0.0}), 2),
             (std::vector<int32_t>{0, 1}));
   AngularSweep sweep(ds);
   EXPECT_EQ(sweep.InitialOrder(), (std::vector<int32_t>{0, 1}));
@@ -218,7 +217,7 @@ TEST(TieBreakTest, ThetaHalfPiEndpointUsesTheIdTieBreak) {
   // Two tuples tied on y: under w = (0, 1) the lower id wins, so the sweep
   // must exchange them at exactly pi/2.
   const data::Dataset ds = testing::MakeDataset({{0.2, 0.5}, {0.8, 0.5}});
-  EXPECT_EQ(topk::TopK(ds, topk::LinearFunction({0.0, 1.0}), 2),
+  EXPECT_EQ(testing::BruteTopK(ds, topk::LinearFunction({0.0, 1.0}), 2),
             (std::vector<int32_t>{0, 1}));
   AngularSweep sweep(ds);
   EXPECT_EQ(sweep.InitialOrder(), (std::vector<int32_t>{1, 0}));
@@ -246,7 +245,7 @@ TEST(TieBreakTest, EndpointKSetsAreEnumerated) {
     for (const auto& weights :
          {std::vector<double>{1.0, 0.0}, std::vector<double>{0.0, 1.0}}) {
       KSet probe;
-      probe.ids = topk::TopKSet(ds, topk::LinearFunction(weights), k);
+      probe.ids = testing::BruteTopKSet(ds, topk::LinearFunction(weights), k);
       EXPECT_TRUE(sets->Contains(probe)) << "k=" << k;
     }
   }
@@ -308,10 +307,11 @@ TEST(TieBreakTest, TieCascadesDoNotLeakPhantomOrders) {
     ASSERT_TRUE(sets.ok());
     EXPECT_LE(sets->size(), 2u) << "k=" << k;
     KSet endpoint;
-    endpoint.ids = topk::TopKSet(ds, topk::LinearFunction({1.0, 0.0}), k);
+    endpoint.ids =
+        testing::BruteTopKSet(ds, topk::LinearFunction({1.0, 0.0}), k);
     EXPECT_TRUE(sets->Contains(endpoint));
     KSet interior;
-    interior.ids = topk::TopKSet(
+    interior.ids = testing::BruteTopKSet(
         ds, topk::LinearFunction::FromAngles({0.3}), k);
     EXPECT_TRUE(sets->Contains(interior));
   }

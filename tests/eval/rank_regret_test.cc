@@ -8,7 +8,6 @@
 
 #include "data/generators.h"
 #include "test_util.h"
-#include "topk/rank.h"
 #include "topk/scoring.h"
 
 namespace rrr {
@@ -83,7 +82,7 @@ TEST_P(ExactVsGridTest, SweepMatchesDenseGridEvaluation) {
     for (double theta : testing::AngleGrid(4000)) {
       topk::LinearFunction f({std::cos(theta), std::sin(theta)});
       grid_worst =
-          std::max(grid_worst, topk::MinRankOfSubset(ds, f, subset));
+          std::max(grid_worst, testing::BruteMinRankOfSubset(ds, f, subset));
     }
     EXPECT_GE(*exact, grid_worst);
     // The grid is dense enough relative to event spacing for small n that
@@ -163,7 +162,7 @@ TEST(ExactRankRegretWithinKTest, WitnessActuallyFails) {
     // The witness function's best subset rank must genuinely exceed k.
     EXPECT_GT(cert->witness_rank, 2);
     topk::LinearFunction f(cert->witness_weights);
-    EXPECT_EQ(topk::MinRankOfSubset(ds, f, subset), cert->witness_rank);
+    EXPECT_EQ(testing::BruteMinRankOfSubset(ds, f, subset), cert->witness_rank);
   }
 }
 

@@ -9,7 +9,6 @@
 #include "data/generators.h"
 #include "test_util.h"
 #include "topk/scoring.h"
-#include "topk/topk.h"
 
 namespace rrr {
 namespace geometry {
@@ -89,7 +88,7 @@ TEST(ConvexMaximaTest, EveryMaximaItemWinsSomewhereIn3D) {
   Rng rng(44);
   for (int rep = 0; rep < 300; ++rep) {
     topk::LinearFunction f(rng.UnitWeightVector(3));
-    const int32_t winner = topk::TopK(ds, f, 1)[0];
+    const int32_t winner = testing::BruteTopK(ds, f, 1)[0];
     EXPECT_TRUE(std::binary_search(maxima->begin(), maxima->end(), winner));
   }
 }

@@ -10,7 +10,6 @@
 #include "geometry/convex_hull.h"
 #include "test_util.h"
 #include "topk/scoring.h"
-#include "topk/topk.h"
 
 namespace rrr {
 namespace geometry {
@@ -72,7 +71,7 @@ TEST_P(OnionCoverTest, TopKIsWithinFirstKLayers) {
     ASSERT_TRUE(cover.ok());
     for (int rep = 0; rep < 60; ++rep) {
       topk::LinearFunction f(rng.UnitWeightVector(d));
-      for (int32_t id : topk::TopK(ds, f, k)) {
+      for (int32_t id : testing::BruteTopK(ds, f, k)) {
         EXPECT_TRUE(std::binary_search(cover->begin(), cover->end(), id))
             << "top-" << k << " member " << id << " outside first " << k
             << " layers";

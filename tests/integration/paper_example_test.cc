@@ -12,8 +12,6 @@
 #include "geometry/convex_hull.h"
 #include "geometry/dominance.h"
 #include "test_util.h"
-#include "topk/rank.h"
-#include "topk/topk.h"
 
 namespace rrr {
 namespace {
@@ -27,7 +25,7 @@ TEST_F(PaperExampleTest, Figure2DiagonalRanking) {
   // "the items are ranked as t7, t3, t5, t1, t2, t6, and t4, based on
   // f = x1 + x2".
   topk::LinearFunction f({1.0, 1.0});
-  EXPECT_EQ(topk::TopK(ds_, f, 7),
+  EXPECT_EQ(testing::BruteTopK(ds_, f, 7),
             (std::vector<int32_t>{6, 2, 4, 0, 1, 5, 3}));
 }
 
@@ -35,10 +33,10 @@ TEST_F(PaperExampleTest, Figure3XAxisRankingAndTopTwo) {
   // "the ordering of items based on f = x1 is t7, t1, t3, t2, t5, t4, t6;
   // hence, for any set X containing t7 or t1, RR_f(X) <= 2."
   topk::LinearFunction f({1.0, 0.0});
-  EXPECT_EQ(topk::TopK(ds_, f, 7),
+  EXPECT_EQ(testing::BruteTopK(ds_, f, 7),
             (std::vector<int32_t>{6, 0, 2, 1, 4, 3, 5}));
-  EXPECT_LE(topk::MinRankOfSubset(ds_, f, {6, 3}), 2);
-  EXPECT_LE(topk::MinRankOfSubset(ds_, f, {0, 4}), 2);
+  EXPECT_LE(testing::BruteMinRankOfSubset(ds_, f, {6, 3}), 2);
+  EXPECT_LE(testing::BruteMinRankOfSubset(ds_, f, {0, 4}), 2);
 }
 
 TEST_F(PaperExampleTest, Figure6KSetsByBothEnumerators) {

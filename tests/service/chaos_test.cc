@@ -56,14 +56,15 @@ struct Fault {
 std::vector<Fault> GenerateSchedule(uint64_t seed) {
   Rng rng(seed);
   const char* artifact_sites[] = {
-      "core.artifact.candidate_index", "core.artifact.column_blocks",
-      "core.artifact.skyline",         "core.artifact.corner_topk",
+      "core.artifact.candidate_index",
+      "core.artifact.skyline",
+      "core.artifact.corner_topk",
   };
   std::vector<Fault> faults;
   // 1-2 artifact faults: these must DEGRADE queries, never corrupt them.
   const int artifacts = 1 + static_cast<int>(rng.UniformInt(0, 1));
   for (int i = 0; i < artifacts; ++i) {
-    const char* site = artifact_sites[rng.UniformInt(0, 3)];
+    const char* site = artifact_sites[rng.UniformInt(0, 2)];
     std::string spec;
     switch (rng.UniformInt(0, 2)) {
       case 0:

@@ -1,7 +1,9 @@
 #include "test_util.h"
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
+#include <numeric>
 #include <sstream>
 
 #include "common/random.h"
@@ -29,6 +31,55 @@ bool ForEachSubset(const std::vector<int32_t>& candidates, size_t r,
 }
 
 }  // namespace
+
+std::vector<int32_t> BruteTopK(const data::Dataset& dataset,
+                               const topk::LinearFunction& f, size_t k) {
+  const size_t n = dataset.size();
+  std::vector<double> scores(n);
+  for (size_t i = 0; i < n; ++i) scores[i] = f.Score(dataset.row(i));
+  std::vector<int32_t> ids(n);
+  std::iota(ids.begin(), ids.end(), 0);
+  std::sort(ids.begin(), ids.end(), [&scores](int32_t a, int32_t b) {
+    return topk::Outranks(scores[static_cast<size_t>(a)], a,
+                          scores[static_cast<size_t>(b)], b);
+  });
+  ids.resize(std::min(k, n));
+  return ids;
+}
+
+std::vector<int32_t> BruteTopKSet(const data::Dataset& dataset,
+                                  const topk::LinearFunction& f, size_t k) {
+  std::vector<int32_t> ids = BruteTopK(dataset, f, k);
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+int64_t BruteRankOf(const data::Dataset& dataset,
+                    const topk::LinearFunction& f, int32_t item) {
+  const double score = f.Score(dataset.row(static_cast<size_t>(item)));
+  int64_t rank = 1;
+  for (size_t j = 0; j < dataset.size(); ++j) {
+    const int32_t id = static_cast<int32_t>(j);
+    if (topk::Outranks(f.Score(dataset.row(j)), id, score, item)) ++rank;
+  }
+  return rank;
+}
+
+int64_t BruteMinRankOfSubset(const data::Dataset& dataset,
+                             const topk::LinearFunction& f,
+                             const std::vector<int32_t>& subset) {
+  RRR_CHECK(!subset.empty()) << "BruteMinRankOfSubset: empty subset";
+  // The member that outranks every other member has the minimum rank.
+  int32_t best = subset[0];
+  for (int32_t id : subset) {
+    if (topk::Outranks(f.Score(dataset.row(static_cast<size_t>(id))), id,
+                       f.Score(dataset.row(static_cast<size_t>(best))),
+                       best)) {
+      best = id;
+    }
+  }
+  return BruteRankOf(dataset, f, best);
+}
 
 int64_t BruteForceOptimalRrrSize2D(const data::Dataset& dataset, size_t k) {
   // Only items that ever appear in a top-k can help.

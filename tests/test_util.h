@@ -8,11 +8,11 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "data/column_blocks.h"
 #include "data/dataset.h"
 #include "eval/rank_regret.h"
 #include "geometry/vec.h"
 #include "topk/scoring.h"
-#include "topk/topk.h"
 
 namespace rrr {
 namespace testing {
@@ -38,11 +38,42 @@ inline data::Dataset PaperFigure1Dataset() {
                       {0.91, 0.43}});
 }
 
+/// Serial dense columnar mirror of `dataset`, aborting on failure (the
+/// form every mirror-taking API under test wants).
+inline data::ColumnBlocks MustBuildBlocks(const data::Dataset& dataset) {
+  Result<data::ColumnBlocks> blocks = data::ColumnBlocks::Build(dataset, 1);
+  RRR_CHECK(blocks.ok()) << blocks.status().ToString();
+  return std::move(blocks).value();
+}
+
+/// \brief Brute-force top-k oracle, straight from the definition: every
+/// row scored by LinearFunction::Score, the whole dataset sorted under
+/// topk::Outranks (score desc, id asc), the first min(k, n) ids kept, best
+/// first. The reference the blocked kernel's scans are checked against.
+/// Finite scores only (Outranks is not a strict weak order over NaN).
+std::vector<int32_t> BruteTopK(const data::Dataset& dataset,
+                               const topk::LinearFunction& f, size_t k);
+
+/// BruteTopK's ids sorted ascending (the k-set form).
+std::vector<int32_t> BruteTopKSet(const data::Dataset& dataset,
+                                  const topk::LinearFunction& f, size_t k);
+
+/// Brute-force rank oracle: 1 + the number of rows that outrank `item`
+/// under topk::Outranks, counted one row at a time.
+int64_t BruteRankOf(const data::Dataset& dataset,
+                    const topk::LinearFunction& f, int32_t item);
+
+/// Brute-force RR_f(subset): BruteRankOf of the member that outranks all
+/// the others.
+int64_t BruteMinRankOfSubset(const data::Dataset& dataset,
+                             const topk::LinearFunction& f,
+                             const std::vector<int32_t>& subset);
+
 /// Top-k (best first) under the 2D function w = (cos theta, sin theta),
-/// straight from the definition.
+/// straight from the definition (BruteTopK).
 inline std::vector<int32_t> TopKAtAngle(const data::Dataset& dataset,
                                         double theta, size_t k) {
-  return topk::TopK(
+  return BruteTopK(
       dataset, topk::LinearFunction({std::cos(theta), std::sin(theta)}), k);
 }
 

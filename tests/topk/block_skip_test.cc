@@ -93,11 +93,13 @@ std::vector<LinearFunction> ProbeFunctions(size_t d, uint64_t seed) {
 }
 
 /// The core equivalence check over one mirror: every entry point, skip
-/// forced on vs forced off, plus the block-accounting invariant that every
-/// block is either scanned or skipped, never both or neither.
+/// forced on vs forced off and against the brute-force oracles over the
+/// mirror's source, plus the block-accounting invariant that every block
+/// is either scanned or skipped, never both or neither.
 void ExpectSkipEquivalent(const data::ColumnBlocks& blocks,
                           const LinearFunction& f, const std::string& tag) {
   const size_t n = blocks.rows();
+  const data::Dataset& source = *blocks.source();
   for (size_t k : {size_t{1}, size_t{13}, n / 2, n}) {
     if (k == 0) continue;
     ScanStats on_stats;
@@ -106,6 +108,7 @@ void ExpectSkipEquivalent(const data::ColumnBlocks& blocks,
     const std::vector<int32_t> off =
         TopKScan(blocks, f, k, BlockSkip::kForceOff);
     EXPECT_EQ(on, off) << tag << " k=" << k;
+    EXPECT_EQ(on, testing::BruteTopK(source, f, k)) << tag << " k=" << k;
     EXPECT_EQ(on_stats.blocks_scanned + on_stats.blocks_skipped,
               blocks.num_blocks())
         << tag << " k=" << k;
@@ -113,6 +116,9 @@ void ExpectSkipEquivalent(const data::ColumnBlocks& blocks,
   EXPECT_EQ(MaxScore(blocks, f, BlockSkip::kForceOn),
             MaxScore(blocks, f, BlockSkip::kForceOff))
       << tag;
+  double best = f.Score(source.row(0));
+  for (size_t i = 1; i < n; ++i) best = std::max(best, f.Score(source.row(i)));
+  EXPECT_EQ(MaxScore(blocks, f, BlockSkip::kForceOn), best) << tag;
   // Reference points spanning rank extremes: the top-1 (near-total
   // skipping), a middling row, the very last row (no skipping possible).
   const std::vector<int32_t> extremes = TopKScan(blocks, f, n);
@@ -122,6 +128,9 @@ void ExpectSkipEquivalent(const data::ColumnBlocks& blocks,
         static_cast<size_t>(id)));
     EXPECT_EQ(CountOutranking(blocks, f, score, id, BlockSkip::kForceOn),
               CountOutranking(blocks, f, score, id, BlockSkip::kForceOff))
+        << tag << " id=" << id;
+    EXPECT_EQ(CountOutranking(blocks, f, score, id, BlockSkip::kForceOn) + 1,
+              testing::BruteRankOf(source, f, id))
         << tag << " id=" << id;
   }
 }
@@ -263,11 +272,10 @@ TEST(BlockSkipTest, EveryKernelPathAgreesWithSkipOn) {
   const std::vector<LinearFunction> probes = ProbeFunctions(4, 263);
   std::vector<std::vector<int32_t>> want;
   for (const LinearFunction& f : probes) {
-    want.push_back(TopKScan(blocks, f, 25, BlockSkip::kForceOff));
+    want.push_back(testing::BruteTopK(ds, f, 25));
   }
-  for (ScoreKernelPath path : {ScoreKernelPath::kScalarBlocked,
-                               ScoreKernelPath::kAvx2,
-                               ScoreKernelPath::kAvx512}) {
+  for (ScoreKernelPath path :
+       {ScoreKernelPath::kScalarBlocked, ScoreKernelPath::kAvx2}) {
     const ScoreKernelPath installed = ForceScoreKernelPath(path);
     // The force clamps to host support (an unsupported request narrows,
     // never crashes) and round-trips through the active-path query.

@@ -8,11 +8,22 @@
 #include "common/random.h"
 #include "data/generators.h"
 #include "test_util.h"
-#include "topk/topk.h"
 
 namespace rrr {
 namespace topk {
 namespace {
+
+// Every case ranks over a fresh serial mirror of its dataset; the
+// brute-force count loop in test_util is the reference.
+int64_t RankOf(const data::Dataset& ds, const LinearFunction& f,
+               int32_t item) {
+  return topk::RankOf(testing::MustBuildBlocks(ds), f, item);
+}
+
+int64_t MinRankOfSubset(const data::Dataset& ds, const LinearFunction& f,
+                        const std::vector<int32_t>& subset) {
+  return topk::MinRankOfSubset(testing::MustBuildBlocks(ds), f, subset);
+}
 
 TEST(RankOfTest, PaperExampleRanks) {
   data::Dataset ds = testing::PaperFigure1Dataset();
@@ -32,9 +43,11 @@ TEST(RankOfTest, ConsistentWithTopKPositions) {
   Rng rng(7);
   for (int rep = 0; rep < 10; ++rep) {
     LinearFunction f(rng.UnitWeightVector(3));
-    const auto order = TopK(ds, f, ds.size());
+    const auto order = testing::BruteTopK(ds, f, ds.size());
     for (size_t pos = 0; pos < order.size(); ++pos) {
       EXPECT_EQ(RankOf(ds, f, order[pos]), static_cast<int64_t>(pos) + 1);
+      EXPECT_EQ(testing::BruteRankOf(ds, f, order[pos]),
+                static_cast<int64_t>(pos) + 1);
     }
   }
 }
@@ -59,6 +72,7 @@ TEST(MinRankOfSubsetTest, EqualsMinOfIndividualRanks) {
       expected = std::min(expected, RankOf(ds, f, id));
     }
     EXPECT_EQ(MinRankOfSubset(ds, f, subset), expected);
+    EXPECT_EQ(testing::BruteMinRankOfSubset(ds, f, subset), expected);
   }
 }
 

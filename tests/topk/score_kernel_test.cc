@@ -1,9 +1,10 @@
 // The blocked columnar scoring kernel carries the library's strongest
-// contract: scalar row loop, blocked scalar, and SIMD paths produce
-// BIT-IDENTICAL scores (EXPECT_EQ on doubles, never a tolerance), and every
-// consumer routed through the kernel produces bit-identical output with and
-// without the columnar mirror — including zero-weight functions, duplicate-
-// heavy rows, denormal-adjacent magnitudes, and multiple thread counts.
+// contract: the blocked scalar and SIMD paths produce scores BIT-IDENTICAL
+// to LinearFunction::Score's row loop (EXPECT_EQ on doubles, never a
+// tolerance), and every scan and consumer over the mirror matches the
+// brute-force row-loop oracles of test_util — including zero-weight
+// functions, duplicate-heavy rows, denormal-adjacent magnitudes, and
+// multiple thread counts.
 #include "topk/score_kernel.h"
 
 #include <gtest/gtest.h>
@@ -28,7 +29,6 @@
 #include "eval/rank_regret.h"
 #include "eval/regret_ratio.h"
 #include "topk/rank.h"
-#include "topk/topk.h"
 #include "test_util.h"
 
 namespace rrr {
@@ -36,9 +36,7 @@ namespace topk {
 namespace {
 
 data::ColumnBlocks MustBuild(const data::Dataset& ds) {
-  Result<data::ColumnBlocks> blocks = data::ColumnBlocks::Build(ds, 1);
-  RRR_CHECK(blocks.ok()) << blocks.status().ToString();
-  return std::move(blocks).value();
+  return testing::MustBuildBlocks(ds);
 }
 
 struct Family {
@@ -135,17 +133,14 @@ TEST(ScoreKernelTest, ScalarBlockedMatchesRowLoopBitExactly) {
 }
 
 TEST(ScoreKernelTest, SimdMatchesScalarBitExactly) {
-  std::vector<double> simd(data::ColumnBlocks::kBlockRows);
-  {
-    // Probe availability once.
-    const data::Dataset tiny = data::GenerateUniform(64, 2, 1);
-    const data::ColumnBlocks blocks = MustBuild(tiny);
-    const LinearFunction f(geometry::Vec(2, 1.0));
-    if (!ScoreBlockSimd(f.weights().data(), 2, blocks.block(0),
-                        simd.data())) {
-      GTEST_SKIP() << "no SIMD path on this host/build";
-    }
+  // Pin the AVX2 tier through the dispatcher; a host without it clamps
+  // the request to scalar, leaving nothing to compare.
+  const ScoreKernelPath before = ActiveScoreKernelPath();
+  if (ForceScoreKernelPath(ScoreKernelPath::kAvx2) != ScoreKernelPath::kAvx2) {
+    ForceScoreKernelPath(before);
+    GTEST_SKIP() << "no SIMD path on this host/build";
   }
+  std::vector<double> simd(data::ColumnBlocks::kBlockRows);
   std::vector<double> scalar(data::ColumnBlocks::kBlockRows);
   for (size_t d : {size_t{1}, size_t{3}, size_t{8}}) {
     for (const Family& family : Families(300, d, 23)) {
@@ -154,8 +149,7 @@ TEST(ScoreKernelTest, SimdMatchesScalarBitExactly) {
         for (size_t b = 0; b < blocks.num_blocks(); ++b) {
           ScoreBlockScalar(f.weights().data(), d, blocks.block(b),
                            scalar.data());
-          ASSERT_TRUE(ScoreBlockSimd(f.weights().data(), d, blocks.block(b),
-                                     simd.data()));
+          ScoreBlock(f.weights().data(), d, blocks.block(b), simd.data());
           for (size_t lane = 0; lane < data::ColumnBlocks::kBlockRows;
                ++lane) {
             EXPECT_EQ(simd[lane], scalar[lane])
@@ -165,7 +159,7 @@ TEST(ScoreKernelTest, SimdMatchesScalarBitExactly) {
         }
       }
     }
-  }
+  }  ForceScoreKernelPath(before);
 }
 
 TEST(ScoreKernelTest, ScoreAllMatchesRowLoopIncludingTail) {
@@ -180,18 +174,16 @@ TEST(ScoreKernelTest, ScoreAllMatchesRowLoopIncludingTail) {
   }
 }
 
-TEST(ScoreKernelTest, TopKScanMatchesTopKOnEveryFamily) {
+TEST(ScoreKernelTest, TopKScanMatchesOracleOnEveryFamily) {
   for (const Family& family : Families(300, 3, 47)) {
     const data::ColumnBlocks blocks = MustBuild(family.data);
     const size_t n = family.data.size();
     for (const LinearFunction& f : ProbeFunctions(3, 53)) {
       for (size_t k : {size_t{1}, size_t{3}, n / 2, n, n + 10}) {
-        EXPECT_EQ(TopKScan(blocks, f, k), TopK(family.data, f, k))
+        EXPECT_EQ(TopKScan(blocks, f, k), testing::BruteTopK(family.data, f, k))
             << family.name << " k=" << k;
-        EXPECT_EQ(TopK(family.data, f, k, &blocks), TopK(family.data, f, k))
-            << family.name << " k=" << k;
-        EXPECT_EQ(TopKSet(family.data, f, k, &blocks),
-                  TopKSet(family.data, f, k))
+        EXPECT_EQ(TopKSetScan(blocks, f, k),
+                  testing::BruteTopKSet(family.data, f, k))
             << family.name << " k=" << k;
       }
     }
@@ -209,14 +201,14 @@ TEST(ScoreKernelTest, MaxScoreAndCountOutrankingMatchLegacyFolds) {
       }
       EXPECT_EQ(MaxScore(blocks, f), best) << family.name;
       for (int32_t item : {0, 7, static_cast<int32_t>(n) - 1}) {
-        EXPECT_EQ(RankOf(family.data, f, item, &blocks),
-                  RankOf(family.data, f, item))
+        EXPECT_EQ(RankOf(blocks, f, item),
+                  testing::BruteRankOf(family.data, f, item))
             << family.name << " item " << item;
       }
       const std::vector<int32_t> subset = {2, 5,
                                            static_cast<int32_t>(n) - 3};
-      EXPECT_EQ(MinRankOfSubset(family.data, f, subset, &blocks),
-                MinRankOfSubset(family.data, f, subset))
+      EXPECT_EQ(MinRankOfSubset(blocks, f, subset),
+                testing::BruteMinRankOfSubset(family.data, f, subset))
           << family.name;
     }
   }
@@ -237,18 +229,24 @@ TEST(ScoreKernelTest, MaxScoreIgnoresNaNLikeTheLegacyFold) {
             -std::numeric_limits<double>::infinity());
 }
 
-TEST(ScoreKernelTest, AngularSweepInitialOrderMatchesWithMirror) {
+TEST(ScoreKernelTest, AngularSweepInitialOrderMatchesAxisTopK) {
+  // The sweep's theta = 0 order (x descending, ties by lower id) is the
+  // full ranking under w = (1, 0): the kernel scan and the oracle agree.
+  const LinearFunction x_axis({1.0, 0.0});
   for (const Family& family : Families(300, 2, 73)) {
-    const data::ColumnBlocks blocks = MustBuild(family.data);
-    const core::AngularSweep plain(family.data);
-    const core::AngularSweep mirrored(family.data, &blocks);
-    EXPECT_EQ(mirrored.InitialOrder(), plain.InitialOrder()) << family.name;
+    const core::AngularSweep sweep(family.data);
+    const size_t n = family.data.size();
+    EXPECT_EQ(sweep.InitialOrder(), TopKScan(MustBuild(family.data), x_axis, n))
+        << family.name;
+    EXPECT_EQ(sweep.InitialOrder(), testing::BruteTopK(family.data, x_axis, n))
+        << family.name;
   }
 }
 
 /// Consumer equivalence, engine-vs-direct style: every routed solver and
-/// evaluator must produce identical output with and without the mirror —
-/// with and without a skyband index, across thread counts.
+/// evaluator must produce identical output whether it is handed a mirror
+/// or resolves a null one into its own serial build — with and without a
+/// skyband index, across thread counts.
 TEST(ScoreKernelTest, SolversAreBitIdenticalWithAndWithoutMirror) {
   for (const Family& family : Families(300, 3, 79)) {
     const data::ColumnBlocks blocks = MustBuild(family.data);
@@ -299,8 +297,8 @@ TEST(ScoreKernelTest, SolversAreBitIdenticalWithAndWithoutMirror) {
 
     // Sampled evaluator, with and without a (forced) skyband index, serial
     // and parallel.
-    const std::vector<int32_t> subset =
-        TopKSet(family.data, LinearFunction(geometry::Vec(3, 1.0)), k);
+    const std::vector<int32_t> subset = testing::BruteTopKSet(
+        family.data, LinearFunction(geometry::Vec(3, 1.0)), k);
     core::CandidateIndexOptions force;
     force.min_dataset_size = 0;
     force.max_band_fraction = 1.0;
@@ -337,8 +335,8 @@ TEST(ScoreKernelTest, ExactWithinKCertificateMatchesWithMirror) {
   for (const Family& family : Families(60, 3, 109)) {
     const data::ColumnBlocks blocks = MustBuild(family.data);
     const size_t k = 4;
-    const std::vector<int32_t> subset =
-        TopKSet(family.data, LinearFunction(geometry::Vec(3, 1.0)), k);
+    const std::vector<int32_t> subset = testing::BruteTopKSet(
+        family.data, LinearFunction(geometry::Vec(3, 1.0)), k);
     Result<eval::RankRegretCertificate> plain_cert =
         eval::ExactRankRegretWithinK(family.data, subset, k);
     Result<eval::RankRegretCertificate> mirrored_cert =
@@ -369,8 +367,9 @@ TEST(ScoreKernelTest, Solve2dRrrIsBitIdenticalWithMirror) {
   }
 }
 
-/// The engine hands the shared mirror to every query; its results must
-/// match the legacy direct calls (no mirror, no shared caches) exactly.
+/// The engine hands its prepared mirror to every query; its results must
+/// match direct calls (each on its own serial mirror, no shared caches)
+/// exactly.
 TEST(ScoreKernelTest, EngineMatchesDirectSolvers) {
   const data::Dataset ds = data::GenerateUniform(400, 3, 97);
   Result<std::shared_ptr<core::RrrEngine>> engine =
@@ -397,13 +396,13 @@ TEST(ScoreKernelTest, EngineMatchesDirectSolvers) {
   EXPECT_EQ(report->rank_regret, *direct_regret);
 }
 
-/// eval::Evaluate and eval::SampledRegretRatio now route their full scans
+/// eval::Evaluate and eval::SampledRegretRatio route their full scans
 /// through an internally built mirror; their numbers must equal a literal
-/// re-implementation of the legacy row loops, draw for draw.
+/// row-loop re-implementation, draw for draw.
 TEST(ScoreKernelTest, EvalMetricsMatchLegacyLoops) {
   const data::Dataset ds = data::GenerateUniform(500, 4, 101);
   const std::vector<int32_t> subset =
-      TopKSet(ds, LinearFunction(geometry::Vec(4, 1.0)), 10);
+      testing::BruteTopKSet(ds, LinearFunction(geometry::Vec(4, 1.0)), 10);
 
   eval::EvaluateOptions options;
   options.k = 10;
@@ -418,7 +417,8 @@ TEST(ScoreKernelTest, EvalMetricsMatchLegacyLoops) {
   double ratio = 0.0;
   for (size_t s = 0; s < options.num_functions; ++s) {
     const LinearFunction f(rng.UnitWeightVector(4));
-    rank_regret = std::max(rank_regret, MinRankOfSubset(ds, f, subset));
+    rank_regret =
+        std::max(rank_regret, testing::BruteMinRankOfSubset(ds, f, subset));
     double best_all = 0.0;
     for (size_t i = 0; i < ds.size(); ++i) {
       best_all = std::max(best_all, f.Score(ds.row(i)));
@@ -458,9 +458,11 @@ TEST(ScoreKernelTest, EvalMetricsMatchLegacyLoops) {
   EXPECT_EQ(*rr, rr_legacy);
 }
 
-/// The CandidateIndex build (sum order via the kernel) and its band-blocked
-/// MinRankOfSubset must agree with the no-mirror build exactly.
-TEST(ScoreKernelTest, CandidateIndexBuildMatchesWithMirror) {
+/// The CandidateIndex build (row-major sum order) must keep exactly the
+/// rows with fewer than k always-outrankers, counted pair by pair, and its
+/// band-blocked MinRankOfSubset must match the rank oracle — whether the
+/// full-scan fallback is handed the full mirror or builds its own.
+TEST(ScoreKernelTest, CandidateIndexMatchesBruteForceOracles) {
   for (const Family& family : Families(300, 3, 103)) {
     const data::ColumnBlocks blocks = MustBuild(family.data);
     core::CandidateIndexOptions force;
@@ -469,23 +471,34 @@ TEST(ScoreKernelTest, CandidateIndexBuildMatchesWithMirror) {
     force.precheck_sample = 0;
     force.budget_slack_per_tuple = 0;
     const size_t k = 9;
-    Result<core::CandidateIndex::Outcome> plain =
+    Result<core::CandidateIndex::Outcome> built =
         core::CandidateIndex::Create(family.data, k, force);
-    Result<core::CandidateIndex::Outcome> mirrored =
-        core::CandidateIndex::Create(family.data, k, force, {}, nullptr,
-                                     &blocks);
-    ASSERT_TRUE(plain.ok());
-    ASSERT_TRUE(mirrored.ok());
-    ASSERT_NE(plain->index, nullptr);
-    ASSERT_NE(mirrored->index, nullptr);
-    EXPECT_EQ(mirrored->index->band_ids(), plain->index->band_ids())
-        << family.name;
+    ASSERT_TRUE(built.ok());
+    ASSERT_NE(built->index, nullptr);
+    const size_t n = family.data.size();
+    std::vector<int32_t> want_band;
+    for (size_t i = 0; i < n; ++i) {
+      size_t outrankers = 0;
+      for (size_t j = 0; j < n; ++j) {
+        if (j != i && core::AlwaysOutranks(family.data.row(j),
+                                           static_cast<int32_t>(j),
+                                           family.data.row(i),
+                                           static_cast<int32_t>(i), 3)) {
+          ++outrankers;
+        }
+      }
+      if (outrankers < k) want_band.push_back(static_cast<int32_t>(i));
+    }
+    EXPECT_EQ(built->index->band_ids(), want_band) << family.name;
     for (const LinearFunction& f : ProbeFunctions(3, 107)) {
       const std::vector<int32_t> subset = {1, 4, 11};
+      const int64_t want =
+          testing::BruteMinRankOfSubset(family.data, f, subset);
       size_t fallbacks = 0;
-      EXPECT_EQ(
-          mirrored->index->MinRankOfSubset(f, subset, &fallbacks, &blocks),
-          MinRankOfSubset(family.data, f, subset))
+      EXPECT_EQ(built->index->MinRankOfSubset(f, subset, &fallbacks, &blocks),
+                want)
+          << family.name;
+      EXPECT_EQ(built->index->MinRankOfSubset(f, subset), want)
           << family.name;
     }
   }
@@ -575,7 +588,7 @@ TEST(ScoreKernelTest, MaskedMirrorMatchesFreshDenseMirror) {
       for (size_t k : {size_t{1}, size_t{9}, n / 2, n}) {
         EXPECT_EQ(TopKScan(masked, f, k), TopKScan(fresh, f, k))
             << family.name << " k=" << k;
-        EXPECT_EQ(TopKScan(masked, f, k), TopK(compacted, f, k))
+        EXPECT_EQ(TopKScan(masked, f, k), testing::BruteTopK(compacted, f, k))
             << family.name << " k=" << k;
       }
       EXPECT_EQ(MaxScore(masked, f), MaxScore(fresh, f)) << family.name;

@@ -1,10 +1,10 @@
 // Equivalence suite for the kernel's buffered top-k selection: TopKScan
 // (best-first) and TopKSetScan (ascending ids) must return exactly what the
-// row-loop topk::TopK / TopKSet return — same ids, same order — for every k
-// around the block size and the buffer's flush points, over dense, masked
-// and appended mirrors, with block skip forced on and off. Ties (duplicate
-// rows) and zero-weight corner functions are where a selection that bends
-// the (score desc, id asc) order would show.
+// brute-force oracles testing::BruteTopK / BruteTopKSet return — same ids,
+// same order — for every k around the block size and the buffer's flush
+// points, over dense, masked and appended mirrors, with block skip forced
+// on and off. Ties (duplicate rows) and zero-weight corner functions are
+// where a selection that bends the (score desc, id asc) order would show.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -17,7 +17,6 @@
 #include "geometry/angles.h"
 #include "topk/score_kernel.h"
 #include "topk/scoring.h"
-#include "topk/topk.h"
 #include "test_util.h"
 
 namespace rrr {
@@ -88,15 +87,16 @@ std::vector<size_t> Ks(size_t n) {
   return {1, 63, 64, 65, n / 2, n - 1, n, n + 5};
 }
 
-/// Both kernel selections against the row loop over `source`, with skip
+/// Both kernel selections against the oracles over `source`, with skip
 /// on and off, plus the scanned + skipped == num_blocks accounting.
 void ExpectSelectionsMatch(const data::ColumnBlocks& blocks,
                            const data::Dataset& source,
                            const std::string& tag) {
   for (const LinearFunction& f : Functions(41)) {
     for (size_t k : Ks(source.size())) {
-      const std::vector<int32_t> want = TopK(source, f, k);
-      const std::vector<int32_t> want_set = TopKSet(source, f, k);
+      const std::vector<int32_t> want = testing::BruteTopK(source, f, k);
+      const std::vector<int32_t> want_set =
+          testing::BruteTopKSet(source, f, k);
       for (BlockSkip skip : {BlockSkip::kForceOn, BlockSkip::kForceOff}) {
         const std::string where =
             tag + " k=" + std::to_string(k) +

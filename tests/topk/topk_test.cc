@@ -1,17 +1,24 @@
-#include "topk/topk.h"
-
+// Top-k selection over the columnar mirror (TopKScan / TopKSetScan):
+// fixed paper orderings plus the brute-force full-sort oracle.
 #include <algorithm>
-#include <numeric>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
 #include "data/generators.h"
 #include "test_util.h"
+#include "topk/score_kernel.h"
 
 namespace rrr {
 namespace topk {
 namespace {
+
+/// TopKScan over a fresh serial mirror of `ds`.
+std::vector<int32_t> TopK(const data::Dataset& ds, const LinearFunction& f,
+                          size_t k) {
+  return TopKScan(testing::MustBuildBlocks(ds), f, k);
+}
 
 TEST(TopKTest, PaperExampleDiagonalOrdering) {
   // Figure 2: ranking by f = x1 + x2 is t7, t3, t5, t1, t2, t6, t4
@@ -60,7 +67,7 @@ TEST(TopKTest, TopKSetIsSortedSameMembers) {
   const data::Dataset ds = data::GenerateUniform(100, 3, 5);
   LinearFunction f({0.2, 0.3, 0.5});
   auto ranked = TopK(ds, f, 10);
-  auto set = TopKSet(ds, f, 10);
+  auto set = TopKSetScan(testing::MustBuildBlocks(ds), f, 10);
   EXPECT_TRUE(std::is_sorted(set.begin(), set.end()));
   std::sort(ranked.begin(), ranked.end());
   EXPECT_EQ(ranked, set);
@@ -74,19 +81,12 @@ TEST_P(TopKOracleTest, MatchesFullSortOracle) {
   const data::Dataset ds = data::GenerateUniform(
       static_cast<size_t>(n), 3, static_cast<uint64_t>(seed));
   Rng rng(static_cast<uint64_t>(seed) + 1000);
+  const data::ColumnBlocks blocks = testing::MustBuildBlocks(ds);
+  const size_t kk = static_cast<size_t>(k);
   for (int rep = 0; rep < 5; ++rep) {
     LinearFunction f(rng.UnitWeightVector(3));
-    // Oracle: full stable sort by the tie-broken order.
-    std::vector<int32_t> all(ds.size());
-    std::iota(all.begin(), all.end(), 0);
-    std::vector<double> scores(ds.size());
-    for (size_t i = 0; i < ds.size(); ++i) scores[i] = f.Score(ds.row(i));
-    std::sort(all.begin(), all.end(), [&](int32_t a, int32_t b) {
-      return Outranks(scores[static_cast<size_t>(a)], a,
-                      scores[static_cast<size_t>(b)], b);
-    });
-    all.resize(std::min<size_t>(static_cast<size_t>(k), ds.size()));
-    EXPECT_EQ(TopK(ds, f, static_cast<size_t>(k)), all);
+    EXPECT_EQ(TopKScan(blocks, f, kk), testing::BruteTopK(ds, f, kk));
+    EXPECT_EQ(TopKSetScan(blocks, f, kk), testing::BruteTopKSet(ds, f, kk));
   }
 }
 
