@@ -2,6 +2,8 @@
 // of the corner-top-k memo cache (the design choice DESIGN.md calls out).
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "core/mdrc.h"
 #include "data/column_blocks.h"
 #include "data/generators.h"
@@ -77,6 +79,34 @@ void BM_MdrcThreads(benchmark::State& state) {
 BENCHMARK(BM_MdrcThreads)
     ->ArgsProduct({{1, 2, 4}, {20, 1186}})
     ->Unit(benchmark::kMillisecond);
+
+void BM_MdrcKLadder(benchmark::State& state) {
+  // The engine's k pattern over one shared corner memo on BN-like data
+  // (n = 20000, d = 5): a SOLVE ladder k = 200 -> 20, then a dual search's
+  // probe order. Each iteration starts from an empty cache; corner_evals is
+  // the top-k scans the whole sequence paid, cache_bytes the memo it left.
+  const Dataset ds = rrr::data::GenerateBnLike(20000, 1).ProjectPrefix(5);
+  const rrr::data::ColumnBlocks blocks =
+      rrr::data::ColumnBlocks::Build(ds, 1).value();
+  const std::vector<size_t> ks = {200,  100,  50,  20,  10000, 5000, 2500,
+                                  1250, 625,  937, 1093, 1187, 1186};
+  size_t evals = 0;
+  size_t bytes = 0;
+  for (auto _ : state) {
+    rrr::core::CornerTopKCache cache(ds, size_t{1} << 21);
+    evals = 0;
+    for (size_t k : ks) {
+      MdrcStats stats;
+      auto rep = SolveMdrc(ds, k, {}, &stats, {}, &cache, nullptr, &blocks);
+      benchmark::DoNotOptimize(rep);
+      evals += stats.corner_evals;
+    }
+    bytes = cache.ApproxBytes();
+  }
+  state.counters["corner_evals"] = static_cast<double>(evals);
+  state.counters["cache_bytes"] = static_cast<double>(bytes);
+}
+BENCHMARK(BM_MdrcKLadder)->Unit(benchmark::kMillisecond);
 
 void BM_MdrcVaryK(benchmark::State& state) {
   const Dataset ds = GenerateDotLike(10000, 3).ProjectPrefix(3);

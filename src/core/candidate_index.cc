@@ -229,6 +229,7 @@ Result<CandidateIndex::Outcome> CandidateIndex::Create(
           static_cast<double>(predicted_band) / static_cast<double>(sample);
       if (fraction > options.precheck_max_band_fraction) {
         out.decline_reason = "pre-check predicted a near-full band";
+        out.predicted_near_full_band = true;
         return out;
       }
       RRR_RETURN_IF_ERROR(ctx.CheckPreempted());

@@ -113,6 +113,10 @@ class CandidateIndex {
   struct Outcome {
     std::shared_ptr<const CandidateIndex> index;
     std::string decline_reason;
+    /// True iff the sampled pre-check declined because it predicted a
+    /// near-full band. The k-band only grows with k, so PreparedDataset
+    /// takes this decline as the answer for every larger k too.
+    bool predicted_near_full_band = false;
     /// The dominance counts computed on the way (capped at min(k, n)),
     /// non-null when counting completed — PreparedDataset caches them for
     /// the monotone slice path. Null when the build declined before or

@@ -33,34 +33,58 @@ struct Node {
   std::string path;
 };
 
-/// FNV-1a of `seed` extended by the raw bytes of the corner coordinates.
-/// Corner coordinates are dyadic fractions of pi/2 propagated top-down, so
-/// equal corners are bit-identical doubles and byte hashing is sound.
-size_t HashAngles(uint64_t seed, const geometry::Vec& angles) {
-  for (double x : angles) seed = FnvMix(seed, x);
-  return static_cast<size_t>(seed);
-}
-
-/// Exact-corner hash for a depth's distinct-corner table.
+/// FNV-1a of the raw bytes of the corner coordinates. Corner coordinates
+/// are dyadic fractions of pi/2 propagated top-down, so equal corners are
+/// bit-identical doubles and byte hashing is sound.
 struct CornerHash {
   size_t operator()(const geometry::Vec& angles) const {
-    return HashAngles(kFnvOffsetBasis, angles);
+    uint64_t h = kFnvOffsetBasis;
+    for (double x : angles) h = FnvMix(h, x);
+    return static_cast<size_t>(h);
   }
 };
+
+/// The ascending id set of a ranked list's k-prefix over ids in [0, n): the
+/// top-k set, since a top-k is the k-prefix of every longer ranked list.
+/// Short prefixes are sorted; longer ones are collected through a bitmap
+/// over the n ids, O(k + n / 64) with no comparisons.
+std::vector<int32_t> SortedPrefix(const std::vector<int32_t>& ranked,
+                                  size_t k, size_t n) {
+  k = std::min(k, ranked.size());
+  const auto end = ranked.begin() + static_cast<std::ptrdiff_t>(k);
+  if (n / 64 > 4 * k) {
+    std::vector<int32_t> ids(ranked.begin(), end);
+    std::sort(ids.begin(), ids.end());
+    return ids;
+  }
+  std::vector<uint64_t> bits((n + 63) / 64, 0);
+  for (auto it = ranked.begin(); it != end; ++it) {
+    const auto id = static_cast<size_t>(*it);
+    bits[id >> 6] |= uint64_t{1} << (id & 63);
+  }
+  std::vector<int32_t> ids;
+  ids.reserve(k);
+  for (size_t w = 0; w < bits.size(); ++w) {
+    for (uint64_t word = bits[w]; word != 0; word &= word - 1) {
+      ids.push_back(static_cast<int32_t>(w * 64 + __builtin_ctzll(word)));
+    }
+  }
+  return ids;
+}
 
 /// Intersection of the (sorted) top-k sets of a node's 2^dims corners, in
 /// corner-mask order with an early exit once empty. `first_corner_front`
 /// receives the smallest id of the mask-0 (all-lows) corner's top-k — the
 /// depth-cap fallback item.
 std::vector<int32_t> CornerIntersection(
-    const std::vector<std::shared_ptr<const std::vector<int32_t>>>& table,
-    const size_t* corner_slots, size_t corners, int32_t* first_corner_front) {
-  const std::vector<int32_t>& first = *table[corner_slots[0]];
+    const std::vector<std::vector<int32_t>>& table, const size_t* corner_slots,
+    size_t corners, int32_t* first_corner_front) {
+  const std::vector<int32_t>& first = table[corner_slots[0]];
   *first_corner_front = first.front();
   std::vector<int32_t> common = first;
   std::vector<int32_t> next;
   for (size_t mask = 1; mask < corners && !common.empty(); ++mask) {
-    const std::vector<int32_t>& corner = *table[corner_slots[mask]];
+    const std::vector<int32_t>& corner = table[corner_slots[mask]];
     next.clear();
     std::set_intersection(common.begin(), common.end(), corner.begin(),
                           corner.end(), std::back_inserter(next));
@@ -89,8 +113,9 @@ struct NodeOutcome {
 
 }  // namespace
 
-size_t CornerTopKCache::KeyHash::operator()(const Key& key) const {
-  return HashAngles(FnvMix(kFnvOffsetBasis, key.k), key.angles);
+size_t CornerTopKCache::KeyHash::operator()(
+    const geometry::Vec& angles) const {
+  return CornerHash{}(angles);
 }
 
 CornerTopKCache::CornerTopKCache(const data::Dataset& dataset,
@@ -98,43 +123,45 @@ CornerTopKCache::CornerTopKCache(const data::Dataset& dataset,
     : dataset_(dataset),
       per_shard_cap_(std::max<size_t>(1, max_entries / kShards)) {}
 
-std::shared_ptr<const std::vector<int32_t>> CornerTopKCache::TopKAt(
+std::vector<int32_t> CornerTopKCache::TopKAt(
     size_t k, const geometry::Vec& angles, Counters* counters,
     const CandidateIndex* candidates, const data::ColumnBlocks& blocks) {
-  Key key{k, angles};
-  Shard& shard = shards_[KeyHash{}(key) % kShards];
+  Shard& shard = shards_[KeyHash{}(angles) % kShards];
   std::shared_ptr<Entry> entry;
-  bool existed = false;
+  bool hit = false;
   {
     MutexLock lock(shard.mu);
-    auto it = shard.map.find(key);
+    auto it = shard.map.find(angles);
     if (it != shard.map.end()) {
+      hit = it->second->k >= k;
+      // A shorter list cannot serve k: evaluate at exactly k in the same
+      // slot. Holders of the old entry keep it alive until they finish.
+      if (!hit) it->second = std::make_shared<Entry>(k);
       entry = it->second;
-      existed = true;
     } else if (shard.map.size() < per_shard_cap_) {
-      entry = std::make_shared<Entry>();
-      shard.map.emplace(std::move(key), entry);
+      entry = std::make_shared<Entry>(k);
+      shard.map.emplace(angles, entry);
     }
+  }
+  if (counters != nullptr) {
+    (hit ? counters->hits : counters->evals)
+        .fetch_add(1, std::memory_order_relaxed);
   }
   if (entry == nullptr) {  // shard at capacity: evaluate without caching
-    if (counters != nullptr) {
-      counters->evals.fetch_add(1, std::memory_order_relaxed);
-    }
-    return std::make_shared<const std::vector<int32_t>>(
-        Evaluate(k, angles, candidates, blocks));
-  }
-  if (existed && counters != nullptr) {
-    counters->hits.fetch_add(1, std::memory_order_relaxed);
+    return SortedPrefix(Evaluate(k, angles, candidates, blocks), k,
+                        dataset_.size());
   }
   std::call_once(entry->once, [&] {
-    if (counters != nullptr) {
-      counters->evals.fetch_add(1, std::memory_order_relaxed);
-    }
-    entry->topk = Evaluate(k, angles, candidates, blocks);
+    // The filler may be a hitting caller whose band is too small for the
+    // entry's K (the creator has not reached call_once yet): it scans the
+    // full mirror instead, bit-identically.
+    const CandidateIndex* index =
+        candidates != nullptr && candidates->k() >= entry->k ? candidates
+                                                              : nullptr;
+    entry->ranked = Evaluate(entry->k, angles, index, blocks);
     entry->ready.store(true, std::memory_order_release);
   });
-  // Aliases the entry: the list stays alive with it, no second allocation.
-  return std::shared_ptr<const std::vector<int32_t>>(entry, &entry->topk);
+  return SortedPrefix(entry->ranked, k, dataset_.size());
 }
 
 size_t CornerTopKCache::entries() const {
@@ -151,13 +178,13 @@ size_t CornerTopKCache::ApproxBytes() const {
   for (const Shard& shard : shards_) {
     MutexLock lock(shard.mu);
     for (const auto& kv : shard.map) {
-      bytes += sizeof(Key) + kv.first.angles.size() * sizeof(double);
+      bytes += sizeof(geometry::Vec) + kv.first.size() * sizeof(double);
       bytes += sizeof(Entry) + 2 * sizeof(void*);  // map-node overhead, roughly
       // A mid-fill entry's vector belongs to the filling thread until the
       // ready-release; count it only once published (acquire pairs with
       // the store in TopKAt).
       if (kv.second->ready.load(std::memory_order_acquire)) {
-        bytes += kv.second->topk.capacity() * sizeof(int32_t);
+        bytes += kv.second->ranked.capacity() * sizeof(int32_t);
       }
     }
   }
@@ -168,7 +195,8 @@ void CornerTopKCache::Clear() {
   for (Shard& shard : shards_) {
     // Swap the map out under the lock and destroy it outside: in-flight
     // TopKAt callers hold their Entry by shared_ptr and are unaffected.
-    std::unordered_map<Key, std::shared_ptr<Entry>, KeyHash> dropped;
+    std::unordered_map<geometry::Vec, std::shared_ptr<Entry>, KeyHash>
+        dropped;
     {
       MutexLock lock(shard.mu);
       dropped.swap(shard.map);
@@ -180,8 +208,8 @@ std::vector<int32_t> CornerTopKCache::Evaluate(
     size_t k, const geometry::Vec& angles, const CandidateIndex* candidates,
     const data::ColumnBlocks& blocks) const {
   const topk::LinearFunction f = topk::LinearFunction::FromAngles(angles);
-  if (candidates != nullptr) return candidates->TopKSet(f, k);
-  return topk::TopKSetScan(blocks, f, k);
+  if (candidates != nullptr) return candidates->TopK(f, k);
+  return topk::TopKScan(blocks, f, k);
 }
 
 Result<std::vector<int32_t>> SolveMdrc(const data::Dataset& dataset, size_t k,
@@ -286,8 +314,7 @@ Result<std::vector<int32_t>> SolveMdrc(const data::Dataset& dataset, size_t k,
     }
 
     // One preemption point per corner: each costs at most one top-k scan.
-    std::vector<std::shared_ptr<const std::vector<int32_t>>> table(
-        corners.size());
+    std::vector<std::vector<int32_t>> table(corners.size());
     ParallelFor(threads, corners.size(), [&](size_t c) {
       if (preempted.load(std::memory_order_relaxed)) return;
       if (!ctx.CheckPreempted().ok()) {

@@ -76,8 +76,9 @@ struct MdrcOptions {
 /// capped cache is full: which racing corners won the last shard slots (and
 /// so hit at the next depth) can then vary, but the sum cannot. With a
 /// shared CornerTopKCache (engine queries), corners computed by *earlier*
-/// solves count as hits here — the split reflects the shared cache's
-/// warmth, which is the reuse signal callers want.
+/// solves count as hits here — at this k or at any larger k, whose ranked
+/// list serves this k as a prefix — so the split reflects the shared
+/// cache's warmth, which is the reuse signal callers want.
 struct MdrcStats {
   /// Recursion-tree nodes visited.
   size_t nodes = 0;
@@ -85,7 +86,8 @@ struct MdrcStats {
   size_t leaves = 0;
   /// Distinct per-depth corners that missed the memo cache (top-k scans).
   size_t corner_evals = 0;
-  /// Distinct per-depth corners served from the memo cache.
+  /// Distinct per-depth corners served from the memo cache, including
+  /// prefix hits on entries computed at a larger k.
   size_t cache_hits = 0;
   /// Leaves forced by the depth cap (0 on non-degenerate data).
   size_t depth_cap_leaves = 0;
@@ -96,22 +98,31 @@ struct MdrcStats {
   size_t skyband_size = 0;
 };
 
-/// \brief Concurrent memo of corner top-k evaluations keyed by
-/// (k, exact corner angle vector), shareable across SolveMdrc calls.
+/// \brief Concurrent memo of ranked corner top-k lists keyed by the exact
+/// corner angle vector alone, shareable across SolveMdrc calls at any k.
 ///
 /// Corner coordinates are dyadic fractions of pi/2 propagated top-down, so
 /// equal corners are bit-identical doubles and exact-key hashing is sound —
-/// and the same corners recur across queries at the same k (sibling cells
-/// share corners; repeated solves share everything). PreparedDataset owns
-/// one instance so every engine query against a dataset reuses all prior
-/// corner work; SolveMdrc builds a private one when the caller passes none.
+/// and the same corners recur across queries (sibling cells share corners;
+/// repeated solves share everything). PreparedDataset owns one instance so
+/// every engine query against a dataset reuses all prior corner work;
+/// SolveMdrc builds a private one when the caller passes none.
+///
+/// Each entry holds its corner's *ranked* top-K (best first) and the K it
+/// was computed at. Under the total order topk::Outranks (score desc, id
+/// asc) a top-k is the k-prefix of the ranked top-K for every k <= K, so
+/// one entry serves every smaller k as a hit — the sorted k-prefix, the
+/// same set a scan at k returns. A request for k > K evaluates at exactly
+/// k and replaces the entry in its map slot (the shard does not grow);
+/// callers still holding the old entry finish against it. A descending k
+/// ladder or a dual search's probes therefore scan each corner once, at
+/// the largest k that reached it: the partition at a larger k is a subtree
+/// of the one at a smaller k, so its corners are all reused.
 ///
 /// Entries are compute-once (std::call_once) and sharded to keep lock
 /// contention off the hot path: a thread requesting an in-flight corner
 /// waits for the computing thread instead of duplicating a top-k scan.
-/// Results are shared immutable lists, so a caller's copy outlives any
-/// shard mutation (Clear included) without duplicating the ids. The
-/// per-shard entry cap bounds memory on explosive instances: past it,
+/// The per-shard entry cap bounds memory on explosive instances: past it,
 /// corners are evaluated without being stored (SolveMdrc still shares
 /// each result across the cells of one depth).
 class CornerTopKCache {
@@ -125,30 +136,32 @@ class CornerTopKCache {
   };
 
   /// `dataset` must outlive the cache; `max_entries` caps stored corners
-  /// across all k (same meaning as MdrcOptions::max_cache_entries).
+  /// (same meaning as MdrcOptions::max_cache_entries).
   CornerTopKCache(const data::Dataset& dataset, size_t max_entries);
 
-  /// The (sorted-set) top-k of the corner function at `angles`, memoized
-  /// under key (k, angles). Thread-safe; `counters` (may be null) receives
-  /// this call's hit/miss attribution. `candidates` (may be null) answers
-  /// cache misses with a kernel scan over its k-skyband mirror instead of
-  /// a full scan — bit-identical by the CandidateIndex contract,
-  /// so entries computed with and without an index are interchangeable; it
-  /// must be built over this cache's dataset with candidates->k() >= k.
-  /// Without an index, misses scan `blocks`, the columnar mirror of this
-  /// cache's dataset, through the blocked scoring kernel.
-  std::shared_ptr<const std::vector<int32_t>> TopKAt(
-      size_t k, const geometry::Vec& angles, Counters* counters,
-      const CandidateIndex* candidates, const data::ColumnBlocks& blocks);
+  /// The top-k of the corner function at `angles` as an ascending id set.
+  /// Thread-safe; `counters` (may be null) receives one hit (an entry
+  /// computed at some K >= k) or one evaluation for this call.
+  /// `candidates` (may be null) answers a miss with a kernel scan over its
+  /// k-skyband mirror instead of a full scan — bit-identical by the
+  /// CandidateIndex contract, so entries computed with and without an
+  /// index serve each other; it must be built over this cache's dataset
+  /// with candidates->k() >= k. Without an index, misses scan `blocks`,
+  /// the columnar mirror of this cache's dataset, through the blocked
+  /// scoring kernel.
+  std::vector<int32_t> TopKAt(size_t k, const geometry::Vec& angles,
+                              Counters* counters,
+                              const CandidateIndex* candidates,
+                              const data::ColumnBlocks& blocks);
 
   /// Dataset this cache evaluates against (identity-checked by SolveMdrc).
   const data::Dataset* dataset() const { return &dataset_; }
 
-  /// Corners currently memoized (across every k).
+  /// Corners currently memoized.
   size_t entries() const;
 
   /// Approximate heap footprint of the memoized corners in bytes (keys,
-  /// stored top-k id lists, and map-node overhead) — the eviction-budget
+  /// stored ranked id lists, and map-node overhead) — the eviction-budget
   /// signal for the service layer. An estimate, not an allocation census.
   size_t ApproxBytes() const;
 
@@ -161,29 +174,26 @@ class CornerTopKCache {
  private:
   static constexpr size_t kShards = 32;
   struct Entry {
+    explicit Entry(size_t k) : k(k) {}
+    const size_t k;  // the K `ranked` is computed at
     std::once_flag once;
-    std::vector<int32_t> topk;
+    std::vector<int32_t> ranked;  // top-K ids, best first
     // rrr-lockfree: entries hit the shard map *before* call_once fills
-    // `topk`; observers bypassing the once_flag (ApproxBytes) acquire
+    // `ranked`; observers bypassing the once_flag (ApproxBytes) acquire
     // `ready` before touching the vector, the filler store-releases it.
     std::atomic<bool> ready{false};
   };
-  struct Key {
-    size_t k;
-    geometry::Vec angles;
-    bool operator==(const Key& other) const {
-      return k == other.k && angles == other.angles;
-    }
-  };
   struct KeyHash {
-    size_t operator()(const Key& key) const;
+    size_t operator()(const geometry::Vec& angles) const;
   };
   struct Shard {
     mutable Mutex mu;
-    std::unordered_map<Key, std::shared_ptr<Entry>, KeyHash> map
+    std::unordered_map<geometry::Vec, std::shared_ptr<Entry>, KeyHash> map
         RRR_GUARDED_BY(mu);
   };
 
+  /// Ranked top-k at `angles`: over the band when `candidates` is given,
+  /// else over `blocks`.
   std::vector<int32_t> Evaluate(size_t k, const geometry::Vec& angles,
                                 const CandidateIndex* candidates,
                                 const data::ColumnBlocks& blocks) const;
@@ -205,7 +215,8 @@ class CornerTopKCache {
 /// Corner top-k computations are memoized across sibling nodes (corners are
 /// shared), which is what makes the algorithm near-constant in n in
 /// practice; pass `corner_cache` to extend that memoization across solves
-/// (the engine does). Measured rank-regret is typically <= k (Section 6).
+/// at any k (the engine does). Measured rank-regret is typically <= k
+/// (Section 6).
 ///
 /// Cost is O(nodes * 2^(d-1) * n log n) worst case — each uncached corner
 /// evaluation is a top-k scan — but cache hits dominate on real data and

@@ -199,13 +199,20 @@ PreparedDataset::SharedCandidateIndex(size_t k, size_t threads,
   // counts is retried (at most once per call) when counts covering kk have
   // appeared since — a larger-k build paid for them, and the slice path
   // skips the decline heuristics entirely — instead of serving the stale
-  // negative entry forever.
+  // negative entry forever. Without covering counts, a k at or above the
+  // decline floor is declined on the spot: the band only grows with k.
   bool retried = false;
   for (;;) {
     std::shared_ptr<const std::vector<uint32_t>> counts;
     {
       MutexLock lock(candidate_counts_mu_);
-      if (candidate_counts_.cap >= kk) counts = candidate_counts_.counts;
+      if (candidate_counts_.cap >= kk) {
+        counts = candidate_counts_.counts;
+      } else if (candidate_counts_.decline_floor != 0 &&
+                 kk >= candidate_counts_.decline_floor) {
+        if (cache_hit != nullptr) *cache_hit = true;
+        return std::shared_ptr<const CandidateIndex>();
+      }
     }
     std::shared_ptr<const CandidateSlot> slot;
     RRR_ASSIGN_OR_RETURN(
@@ -226,6 +233,11 @@ PreparedDataset::SharedCandidateIndex(size_t k, size_t threads,
                   candidate_counts_.cap = kk;
                   candidate_counts_.counts = outcome.counts;
                 }
+              }
+              if (outcome.predicted_near_full_band) {
+                MutexLock lock(candidate_counts_mu_);
+                size_t& floor = candidate_counts_.decline_floor;
+                if (floor == 0 || kk < floor) floor = kk;
               }
               return CandidateSlot{std::move(outcome.index),
                                    counts != nullptr};
@@ -309,8 +321,7 @@ size_t PreparedDataset::EvictSharedArtifacts() const {
   corner_cache_->Clear();
   {
     MutexLock lock(candidate_counts_mu_);
-    candidate_counts_.cap = 0;
-    candidate_counts_.counts.reset();
+    candidate_counts_ = CandidateCounts{};
   }
   return freed;
 }

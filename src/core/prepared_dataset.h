@@ -221,7 +221,8 @@ class KeyedLazyCache {
 ///  - lazily-materialized shared caches: the skyline prefilter, the
 ///    convex-maxima LP results (the exact k = 1 representative), K-SETr
 ///    samples keyed by (k, sampler options), and the MDRC corner-top-k
-///    memo keyed by (k, corner angles).
+///    memo keyed by corner angles (one ranked list serves every k up to
+///    the one it was computed at).
 ///
 /// All methods are safe to call concurrently; laziness is internal
 /// (compute-once slots with in-flight waiting). A preempted lazy compute
@@ -234,7 +235,7 @@ class PreparedDataset {
  public:
   struct Options {
     /// Cap on the shared MDRC corner-top-k memo, counted in stored corners
-    /// across every k (same meaning as MdrcOptions::max_cache_entries).
+    /// (same meaning as MdrcOptions::max_cache_entries).
     size_t max_corner_cache_entries = size_t{1} << 21;
     /// Cap on distinct (k, sampler-options) K-SETr samples kept alive.
     size_t max_kset_cache_entries = 64;
@@ -365,6 +366,9 @@ class PreparedDataset {
   /// results either way. The underlying dominance counts are monotone in k
   /// (the (k+1)-band contains the k-band), so the largest computed count
   /// vector is cached and sliced for every smaller k instead of recounting.
+  /// The same monotonicity runs the other way for declines: once the
+  /// pre-check has predicted a near-full band at some k, every larger k
+  /// that no cached counts cover returns null at once, as a cache hit.
   ///
   /// `threads` fans the dominance count out on the first call for a given
   /// k; like every shared artifact, the result is identical for every
@@ -399,9 +403,9 @@ class PreparedDataset {
 
   /// \brief Sheds every shared artifact cache (evictable-cell protocol):
   /// ready lazy cells revert to idle, keyed caches and the corner memo are
-  /// emptied, cached candidate counts are dropped. The dataset itself, its
-  /// columnar mirror, and the d == 2 sweep (whose raw pointer callers may
-  /// hold) stay.
+  /// emptied, cached candidate counts and the decline floor are dropped.
+  /// The dataset itself, its columnar mirror, and the d == 2 sweep (whose
+  /// raw pointer callers may hold) stay.
   ///
   /// Returns the approximate bytes freed. Never races an in-flight query:
   /// queries hold artifacts by shared_ptr, so eviction only severs the
@@ -442,9 +446,19 @@ class PreparedDataset {
   /// saturated rows lose their exact values — so ascending-k query
   /// patterns recount per k, each recount budget-bounded by the build
   /// policy; descending patterns slice for free.)
+  ///
+  /// `decline_floor` is the smallest k whose build the sampled pre-check
+  /// declined as a near-full band (CandidateIndex::Outcome::
+  /// predicted_near_full_band), 0 when none has. The k-band only grows
+  /// with k, so every k >= floor that the counts do not cover is declined
+  /// without re-running the pre-check (a sum-order sort and a sampled
+  /// count per k). Like the pre-check itself this only steers work: a
+  /// declined index never changes a result. Budget and min_dataset_size
+  /// declines leave the floor alone; EvictSharedArtifacts resets it.
   struct CandidateCounts {
     size_t cap = 0;
     std::shared_ptr<const std::vector<uint32_t>> counts;
+    size_t decline_floor = 0;
   };
 
   PreparedDataset(data::Dataset dataset, const Options& options,

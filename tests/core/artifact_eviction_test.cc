@@ -113,6 +113,29 @@ TEST(ArtifactEviction, MirrorSurvivesEviction) {
             topk::TopKScan(fresh, diagonal, 10));
 }
 
+TEST(ArtifactEviction, EvictionClearsTheDeclineFloor) {
+  // Anti-correlated rows: the candidate pre-check predicts a near-full
+  // band, which then answers every larger k without a build.
+  Result<std::shared_ptr<const PreparedDataset>> created =
+      PreparedDataset::Create(data::GenerateAnticorrelated(5000, 4, 3));
+  ASSERT_TRUE(created.ok());
+  const PreparedDataset& prepared = *created.value();
+  bool hit = true;
+  ASSERT_TRUE(prepared.SharedCandidateIndex(100, 1, {}, &hit).ok());
+  EXPECT_FALSE(hit);
+  ASSERT_TRUE(prepared.SharedCandidateIndex(200, 1, {}, &hit).ok());
+  EXPECT_TRUE(hit) << "k = 200 sits above the floor";
+
+  prepared.EvictSharedArtifacts();
+  Result<std::shared_ptr<const CandidateIndex>> after =
+      prepared.SharedCandidateIndex(200, 1, {}, &hit);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(*after, nullptr);
+  EXPECT_FALSE(hit) << "eviction drops the floor: the next ask recomputes";
+  ASSERT_TRUE(prepared.SharedCandidateIndex(400, 1, {}, &hit).ok());
+  EXPECT_TRUE(hit) << "the recomputed decline sets the floor again";
+}
+
 TEST(ArtifactEviction, LazyCellEvictSkipsIdleAndComputing) {
   std::shared_ptr<const PreparedDataset> prepared = Prepare(100, 2, 3);
   // Nothing lazy computed yet (the eager mirror is not evictable):

@@ -1,12 +1,15 @@
 #include "core/mdrc.h"
 
 #include <algorithm>
+#include <map>
 #include <thread>
 
 #include <gtest/gtest.h>
 
 #include "common/exec_context.h"
+#include "core/candidate_index.h"
 #include "data/generators.h"
+#include "geometry/angles.h"
 #include "eval/rank_regret.h"
 #include "geometry/convex_hull.h"
 #include "test_util.h"
@@ -329,6 +332,227 @@ TEST(MdrcTest, ExpiredDeadlineMidSolveReturnsDeadlineExceeded) {
   Result<std::vector<int32_t>> rep = SolveMdrc(ds, 20, opts, nullptr, ctx);
   ASSERT_FALSE(rep.ok());
   EXPECT_EQ(rep.status().code(), StatusCode::kDeadlineExceeded);
+}
+
+// --- k-nested corner reuse ------------------------------------------------
+//
+// A shared CornerTopKCache keys corners by their angles alone and keeps each
+// corner's ranked top-K, so any k <= K is served as the sorted k-prefix.
+// These tests pin that reuse against private-cache solves: same
+// representative and tree at every k, in every k order, at every thread
+// count, whichever scan (band or full mirror) filled an entry.
+
+constexpr size_t kNestedRows = 20000;
+
+/// Dual-search probe order on n = 20000: halving down, then back up.
+const std::vector<size_t> kDualZigzag = {10000, 5000, 2500, 1250, 625,
+                                         937,   1093, 1187, 1186};
+const std::vector<size_t> kDescending = {1250, 625, 300, 150};
+const std::vector<size_t> kAscending = {150, 300, 625, 1250};
+
+struct NestedFamily {
+  const char* name;
+  data::Dataset data;
+};
+
+std::vector<NestedFamily> NestedFamilies() {
+  std::vector<NestedFamily> families;
+  families.push_back({"uniform", data::GenerateUniform(kNestedRows, 4, 5)});
+  families.push_back(
+      {"bn-like", data::GenerateBnLike(kNestedRows, 3).ProjectPrefix(4)});
+  // Clamp01 leaves exact 0/1 cells: score ties under the axis corners.
+  families.push_back(
+      {"anticorrelated", data::GenerateAnticorrelated(kNestedRows, 4, 7)});
+  return families;
+}
+
+/// A private-cache (cold) serial solve: the reference every shared-cache
+/// solve must match.
+struct ColdSolve {
+  std::vector<int32_t> rep;
+  MdrcStats stats;
+};
+
+ColdSolve SolveCold(const data::Dataset& ds, size_t k) {
+  MdrcOptions serial;
+  serial.threads = 1;
+  ColdSolve cold;
+  Result<std::vector<int32_t>> rep = SolveMdrc(ds, k, serial, &cold.stats);
+  EXPECT_TRUE(rep.ok()) << rep.status().ToString();
+  if (rep.ok()) cold.rep = *rep;
+  return cold;
+}
+
+TEST(MdrcNestedReuseTest, SharedCacheMatchesColdSolvesInEveryKOrder) {
+  for (const NestedFamily& family : NestedFamilies()) {
+    std::map<size_t, ColdSolve> cold;
+    for (const std::vector<size_t>* order : {&kDescending, &kDualZigzag}) {
+      for (size_t k : *order) cold[k] = SolveCold(family.data, k);
+    }
+    for (const std::vector<size_t>* order :
+         {&kDescending, &kAscending, &kDualZigzag}) {
+      for (size_t threads : {1u, 2u, 4u}) {
+        MdrcOptions opts;
+        opts.threads = threads;
+        CornerTopKCache cache(family.data, size_t{1} << 20);
+        const ColdSolve* larger = nullptr;  // previous k of a descending run
+        for (size_t k : *order) {
+          MdrcStats stats;
+          Result<std::vector<int32_t>> rep =
+              SolveMdrc(family.data, k, opts, &stats, {}, &cache);
+          ASSERT_TRUE(rep.ok()) << rep.status().ToString();
+          const ColdSolve& want = cold[k];
+          EXPECT_EQ(*rep, want.rep)
+              << family.name << " k=" << k << " threads=" << threads;
+          EXPECT_EQ(stats.nodes, want.stats.nodes) << family.name << " k=" << k;
+          EXPECT_EQ(stats.corner_evals + stats.cache_hits,
+                    want.stats.corner_evals + want.stats.cache_hits)
+              << family.name << " k=" << k << " threads=" << threads;
+          // Down a ladder the cache holds exactly the previous tree's
+          // corners, a subset of this one's (see the next test).
+          if (order == &kDescending && larger != nullptr) {
+            EXPECT_EQ(stats.corner_evals,
+                      want.stats.corner_evals - larger->stats.corner_evals)
+                << family.name << " k=" << k << " threads=" << threads;
+          }
+          larger = &want;
+        }
+      }
+    }
+  }
+}
+
+// The partition at a larger K is a subtree of the one at k <= K, so a cache
+// warmed by Solve(K) holds every corner of that subtree at a K that serves
+// k: Solve(k) evaluates exactly the corners the K-tree lacks.
+TEST(MdrcNestedReuseTest, CornerEvalsAfterALargerKAreTheColdDifference) {
+  for (const NestedFamily& family : NestedFamilies()) {
+    for (std::pair<size_t, size_t> pair :
+         {std::make_pair(size_t{2500}, size_t{625}),
+          std::make_pair(size_t{1187}, size_t{1186})}) {
+      const size_t big = pair.first;
+      const size_t small = pair.second;
+      const ColdSolve cold_big = SolveCold(family.data, big);
+      const ColdSolve cold_small = SolveCold(family.data, small);
+      for (size_t threads : {1u, 4u}) {
+        MdrcOptions opts;
+        opts.threads = threads;
+        CornerTopKCache cache(family.data, size_t{1} << 20);
+        ASSERT_TRUE(SolveMdrc(family.data, big, opts, nullptr, {}, &cache).ok());
+        MdrcStats stats;
+        Result<std::vector<int32_t>> rep =
+            SolveMdrc(family.data, small, opts, &stats, {}, &cache);
+        ASSERT_TRUE(rep.ok());
+        EXPECT_EQ(*rep, cold_small.rep) << family.name << " k=" << small;
+        EXPECT_EQ(stats.corner_evals, cold_small.stats.corner_evals -
+                                          cold_big.stats.corner_evals)
+            << family.name << " K=" << big << " k=" << small
+            << " threads=" << threads;
+      }
+    }
+  }
+}
+
+TEST(MdrcNestedReuseTest, BandAndFullScanEntriesServeEachOther) {
+  const data::Dataset ds = data::GenerateBnLike(kNestedRows, 3).ProjectPrefix(4);
+  CandidateIndexOptions force;
+  force.min_dataset_size = 0;
+  force.precheck_sample = 0;
+  force.max_band_fraction = 1.0;
+  force.budget_slack_per_tuple = 0;
+  const size_t big = 1250;
+  const size_t small = 625;
+  auto band = [&](size_t k) {
+    Result<CandidateIndex::Outcome> outcome =
+        CandidateIndex::Create(ds, k, force);
+    EXPECT_TRUE(outcome.ok());
+    EXPECT_NE(outcome->index, nullptr) << outcome->decline_reason;
+    return outcome->index;
+  };
+  const std::shared_ptr<const CandidateIndex> band_big = band(big);
+  const std::shared_ptr<const CandidateIndex> band_small = band(small);
+  const ColdSolve cold_big = SolveCold(ds, big);
+  const ColdSolve cold_small = SolveCold(ds, small);
+  struct Route {
+    const char* name;
+    const CandidateIndex* fill;   // fills the cache at `big`
+    const CandidateIndex* serve;  // solves `small` against it
+  };
+  for (const Route& route :
+       {Route{"band fills, full scan serves", band_big.get(), nullptr},
+        Route{"full scan fills, band serves", nullptr, band_small.get()}}) {
+    for (size_t threads : {1u, 4u}) {
+      MdrcOptions opts;
+      opts.threads = threads;
+      CornerTopKCache cache(ds, size_t{1} << 20);
+      MdrcStats fill_stats;
+      Result<std::vector<int32_t>> filled =
+          SolveMdrc(ds, big, opts, &fill_stats, {}, &cache, route.fill);
+      ASSERT_TRUE(filled.ok());
+      EXPECT_EQ(*filled, cold_big.rep) << route.name;
+      MdrcStats stats;
+      Result<std::vector<int32_t>> rep =
+          SolveMdrc(ds, small, opts, &stats, {}, &cache, route.serve);
+      ASSERT_TRUE(rep.ok());
+      EXPECT_EQ(*rep, cold_small.rep) << route.name << " threads=" << threads;
+      EXPECT_EQ(stats.nodes, cold_small.stats.nodes) << route.name;
+      EXPECT_EQ(stats.corner_evals,
+                cold_small.stats.corner_evals - cold_big.stats.corner_evals)
+          << route.name << " threads=" << threads;
+      EXPECT_GT(stats.cache_hits, 0u) << route.name;
+    }
+  }
+}
+
+// One ranked entry per corner: every k <= K is its sorted prefix, equal to
+// the brute-force top-k set even among exact duplicates (the id tie-break).
+// n = 2100 sends k <= 7 down the sorting path and larger k down the bitmap.
+TEST(MdrcNestedReuseTest, RankedEntryServesEveryPrefixExactly) {
+  std::vector<std::vector<double>> rows;
+  const data::Dataset base = data::GenerateUniform(700, 3, 17);
+  for (size_t copy = 0; copy < 3; ++copy) {
+    for (size_t i = 0; i < base.size(); ++i) {
+      const double* row = base.row(i);
+      rows.emplace_back(row, row + base.dims());
+    }
+  }
+  const data::Dataset ds = testing::MakeDataset(rows);
+  const data::ColumnBlocks blocks = testing::MustBuildBlocks(ds);
+  CornerTopKCache cache(ds, 64);
+  const size_t big = 120;
+  const std::vector<geometry::Vec> corners = {{0.0, 0.0},
+                                              {geometry::kHalfPi, 0.0},
+                                              {0.3, 1.1},
+                                              {geometry::kHalfPi / 2, 0.0},
+                                              {geometry::kHalfPi,
+                                               geometry::kHalfPi}};
+  for (const geometry::Vec& angles : corners) {
+    const topk::LinearFunction f = topk::LinearFunction::FromAngles(angles);
+    CornerTopKCache::Counters counters;
+    EXPECT_EQ(cache.TopKAt(big, angles, &counters, nullptr, blocks),
+              testing::BruteTopKSet(ds, f, big));
+    for (size_t k = 1; k <= big; ++k) {
+      EXPECT_EQ(cache.TopKAt(k, angles, &counters, nullptr, blocks),
+                testing::BruteTopKSet(ds, f, k))
+          << "k=" << k;
+    }
+    EXPECT_EQ(counters.evals.load(), 1u);
+    EXPECT_EQ(counters.hits.load(), big);
+  }
+  EXPECT_EQ(cache.entries(), corners.size());
+
+  // A larger k evaluates once and takes over the slot; the map does not
+  // grow, and the new list serves the old k's prefixes.
+  const geometry::Vec& angles = corners[2];
+  const topk::LinearFunction f = topk::LinearFunction::FromAngles(angles);
+  CornerTopKCache::Counters counters;
+  EXPECT_EQ(cache.TopKAt(big + 60, angles, &counters, nullptr, blocks),
+            testing::BruteTopKSet(ds, f, big + 60));
+  EXPECT_EQ(cache.TopKAt(7, angles, &counters, nullptr, blocks),
+            testing::BruteTopKSet(ds, f, 7));
+  EXPECT_EQ(counters.evals.load(), 1u);
+  EXPECT_EQ(counters.hits.load(), 1u);
+  EXPECT_EQ(cache.entries(), corners.size());
 }
 
 }  // namespace

@@ -495,6 +495,90 @@ TEST(SkybandEquivalenceTest, DeclinedBuildRetriesOnceCountsAppear) {
             MustBuild((*prepared)->dataset(), 3)->band_ids());
 }
 
+TEST(SkybandEquivalenceTest, OnlyANearFullPreCheckSetsTheDeclineFlag) {
+  const data::Dataset anti = data::GenerateAnticorrelated(5000, 4, 3);
+  Result<CandidateIndex::Outcome> near_full =
+      CandidateIndex::Create(anti, 100);
+  ASSERT_TRUE(near_full.ok());
+  EXPECT_EQ(near_full->index, nullptr);
+  EXPECT_TRUE(near_full->predicted_near_full_band)
+      << near_full->decline_reason;
+
+  CandidateIndexOptions small;
+  small.min_dataset_size = 8192;  // above the 5000 rows
+  Result<CandidateIndex::Outcome> too_small =
+      CandidateIndex::Create(anti, 100, small);
+  ASSERT_TRUE(too_small.ok());
+  EXPECT_EQ(too_small->index, nullptr);
+  EXPECT_FALSE(too_small->predicted_near_full_band);
+
+  CandidateIndexOptions tight;  // no pre-check, a budget the count exceeds
+  tight.precheck_sample = 0;
+  tight.budget_slack_per_tuple = 1;
+  Result<CandidateIndex::Outcome> over_budget =
+      CandidateIndex::Create(anti, 3, tight);
+  ASSERT_TRUE(over_budget.ok());
+  EXPECT_EQ(over_budget->index, nullptr);
+  EXPECT_FALSE(over_budget->predicted_near_full_band)
+      << over_budget->decline_reason;
+}
+
+TEST(SkybandEquivalenceTest, NearFullDeclineAnswersEveryLargerK) {
+  // Anti-correlated rows: the sampled pre-check predicts a near-full band.
+  // The band only grows with k, so that decline stands for every larger k
+  // (no pre-check, reported as a hit) while a smaller k still runs its own.
+  Result<std::shared_ptr<const PreparedDataset>> prepared =
+      PreparedDataset::Create(data::GenerateAnticorrelated(5000, 4, 3));
+  ASSERT_TRUE(prepared.ok());
+  const PreparedDataset& p = **prepared;
+  bool hit = true;
+  Result<std::shared_ptr<const CandidateIndex>> first =
+      p.SharedCandidateIndex(100, 1, {}, &hit);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(*first, nullptr);
+  EXPECT_FALSE(hit) << "the first ask runs the pre-check";
+  for (size_t k : {size_t{101}, size_t{400}, size_t{5000}, size_t{9999}}) {
+    hit = false;
+    Result<std::shared_ptr<const CandidateIndex>> larger =
+        p.SharedCandidateIndex(k, 1, {}, &hit);
+    ASSERT_TRUE(larger.ok());
+    EXPECT_EQ(*larger, nullptr) << "k=" << k;
+    EXPECT_TRUE(hit) << "k=" << k << " must be answered by the floor";
+  }
+  hit = true;
+  Result<std::shared_ptr<const CandidateIndex>> smaller =
+      p.SharedCandidateIndex(20, 1, {}, &hit);
+  ASSERT_TRUE(smaller.ok());
+  EXPECT_EQ(*smaller, nullptr);
+  EXPECT_FALSE(hit) << "a k below the floor runs its own pre-check";
+  // That decline lowered the floor to 20.
+  hit = false;
+  ASSERT_TRUE(p.SharedCandidateIndex(50, 1, {}, &hit).ok());
+  EXPECT_TRUE(hit);
+}
+
+TEST(SkybandEquivalenceTest, BudgetDeclinesSetNoFloor) {
+  PreparedDataset::Options options;
+  options.candidate.min_dataset_size = 0;
+  options.candidate.precheck_sample = 0;
+  options.candidate.budget_slack_per_tuple = 1;
+  Result<std::shared_ptr<const PreparedDataset>> prepared =
+      PreparedDataset::Create(data::GenerateAnticorrelated(1200, 3, 3),
+                              options);
+  ASSERT_TRUE(prepared.ok());
+  bool hit = true;
+  Result<std::shared_ptr<const CandidateIndex>> declined =
+      (*prepared)->SharedCandidateIndex(3, 1, {}, &hit);
+  ASSERT_TRUE(declined.ok());
+  EXPECT_EQ(*declined, nullptr);
+  EXPECT_FALSE(hit);
+  hit = true;
+  Result<std::shared_ptr<const CandidateIndex>> larger =
+      (*prepared)->SharedCandidateIndex(4, 1, {}, &hit);
+  ASSERT_TRUE(larger.ok());
+  EXPECT_FALSE(hit) << "a budget decline must not answer a larger k";
+}
+
 TEST(SkybandEquivalenceTest, PreparedDatasetSharesAndSlicesTheIndex) {
   PreparedDataset::Options options;
   options.candidate = ForceBuild();
