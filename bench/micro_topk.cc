@@ -2,12 +2,15 @@
 // k-skyband band scan, rank queries, and the effect of k.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "common/random.h"
 #include "core/candidate_index.h"
 #include "data/column_blocks.h"
 #include "data/generators.h"
+#include "geometry/angles.h"
 #include "topk/rank.h"
 #include "topk/score_kernel.h"
 #include "topk/scoring.h"
@@ -39,27 +42,72 @@ BENCHMARK(BM_TopK)
 
 void BM_TopKScanSweep(benchmark::State& state) {
   // The kernel's buffered selection across k on BN-like data (n = 20000,
-  // d = 5 — the MDRC corner workload): range(1) == 0 times TopKScan
-  // (best-first), 1 times TopKSetScan (ascending ids, no final sort).
-  // Iterations cycle through 200 random functions; time is per scan.
+  // d = 5 — the MDRC corner workload). range(1) picks the mode:
+  //   0  TopKScan (best-first)
+  //   1  TopKSetScan (ascending ids, no final sort)
+  //   2  TopKScan with a score floor, the way MDRC seeds a new corner: the
+  //      least score, under f, of a neighbour function's top-k (the
+  //      neighbour's top-k is precomputed; scoring it is timed)
+  //   3  ScoreAll, the scoring-only baseline (no selection; k unused)
+  // so the scoring/selection split stays visible. Functions are random
+  // angle vectors; each neighbour is its function moved pi/64 along one
+  // angle, about an MDRC cell width a dozen splits down. Iterations cycle
+  // through 200 functions; time is per scan.
   const size_t k = static_cast<size_t>(state.range(0));
-  const bool as_set = state.range(1) == 1;
+  const int64_t mode = state.range(1);
   const Dataset ds = rrr::data::GenerateBnLike(20000, 1).ProjectPrefix(5);
   const rrr::data::ColumnBlocks blocks =
       rrr::data::ColumnBlocks::Build(ds, 1).value();
   rrr::Rng rng(7);
   std::vector<LinearFunction> funcs;
-  for (int i = 0; i < 200; ++i) funcs.emplace_back(rng.UnitWeightVector(5));
+  std::vector<std::vector<int32_t>> neighbour_tops;
+  for (int i = 0; i < 200; ++i) {
+    rrr::geometry::Vec angles(4);
+    for (double& a : angles) a = rng.Uniform(0.0, rrr::geometry::kHalfPi);
+    funcs.push_back(LinearFunction::FromAngles(angles));
+    if (mode == 2) {
+      rrr::geometry::Vec near = angles;
+      const size_t dim = static_cast<size_t>(i) % near.size();
+      near[dim] += near[dim] < rrr::geometry::kHalfPi / 2
+                       ? rrr::geometry::kHalfPi / 32
+                       : -rrr::geometry::kHalfPi / 32;
+      neighbour_tops.push_back(rrr::topk::TopKScan(
+          blocks, LinearFunction::FromAngles(near), k));
+    }
+  }
+  std::vector<double> scores(mode == 3 ? ds.size() : 0);
   size_t next = 0;
   for (auto _ : state) {
-    const LinearFunction& f = funcs[next++ % funcs.size()];
-    benchmark::DoNotOptimize(as_set ? rrr::topk::TopKSetScan(blocks, f, k)
-                                    : rrr::topk::TopKScan(blocks, f, k));
+    const size_t i = next++ % funcs.size();
+    const LinearFunction& f = funcs[i];
+    switch (mode) {
+      case 0:
+        benchmark::DoNotOptimize(rrr::topk::TopKScan(blocks, f, k));
+        break;
+      case 1:
+        benchmark::DoNotOptimize(rrr::topk::TopKSetScan(blocks, f, k));
+        break;
+      case 2: {
+        double floor = std::numeric_limits<double>::infinity();
+        for (int32_t id : neighbour_tops[i]) {
+          floor = std::min(floor, f.Score(ds.row(static_cast<size_t>(id))));
+        }
+        benchmark::DoNotOptimize(rrr::topk::TopKScan(
+            blocks, f, k, rrr::topk::BlockSkip::kAuto, nullptr, floor));
+        break;
+      }
+      default:
+        rrr::topk::ScoreAll(f, blocks, scores.data());
+        benchmark::DoNotOptimize(scores.data());
+        break;
+    }
   }
-  state.SetLabel(as_set ? "TopKSetScan" : "TopKScan");
+  static const char* const kLabels[] = {"TopKScan", "TopKSetScan",
+                                        "TopKScan+floor", "ScoreAll"};
+  state.SetLabel(kLabels[mode]);
 }
 BENCHMARK(BM_TopKScanSweep)
-    ->ArgsProduct({{20, 200, 1186, 5000, 10000}, {0, 1}})
+    ->ArgsProduct({{20, 200, 1186, 5000, 10000}, {0, 1, 2, 3}})
     ->Unit(benchmark::kMillisecond);
 
 void BM_CandidateIndexTopKSet(benchmark::State& state) {

@@ -90,23 +90,33 @@ void ThreadPool::WorkerLoop() {
 namespace {
 
 /// Shared state of one ParallelForChunked call: a chunk cursor plus a
-/// countdown latch so the caller can wait for exactly its own helpers.
+/// count of finished chunks, so the caller waits for its chunks — not for
+/// helper tasks that may still sit in a queue busy with other callers'
+/// work. A helper that starts after the cursor ran out touches nothing but
+/// this state, which its shared_ptr keeps alive past the call.
 struct ParallelForState {
   // rrr-lockfree: dynamic chunk cursor, fetch_add is the whole protocol
   std::atomic<size_t> next{0};
+  // rrr-lockfree: finished chunks; the one that completes the loop
+  // notifies under `mu`, and the caller re-reads it under `mu`
+  std::atomic<size_t> done{0};
   size_t n = 0;
   size_t grain = 1;
+  size_t chunks = 0;
   const std::function<void(size_t, size_t)>* body = nullptr;
 
   Mutex mu;
   CondVar done_cv;
-  size_t helpers_active RRR_GUARDED_BY(mu) = 0;
 
   void RunChunks() {
     while (true) {
       const size_t begin = next.fetch_add(grain);
       if (begin >= n) return;
       (*body)(begin, std::min(begin + grain, n));
+      if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == chunks) {
+        MutexLock lock(mu);
+        done_cv.NotifyAll();
+      }
     }
   }
 };
@@ -130,25 +140,20 @@ void ParallelForChunked(size_t threads, size_t n, size_t grain,
   auto state = std::make_shared<ParallelForState>();
   state->n = n;
   state->grain = grain;
+  state->chunks = max_chunks;
   state->body = &body;
-  {
-    MutexLock lock(state->mu);
-    state->helpers_active = helpers;
-  }
 
   ThreadPool& pool = ThreadPool::Shared();
   pool.EnsureWorkers(helpers);
   for (size_t h = 0; h < helpers; ++h) {
-    pool.Submit([state] {
-      state->RunChunks();
-      MutexLock lock(state->mu);
-      if (--state->helpers_active == 0) state->done_cv.NotifyAll();
-    });
+    pool.Submit([state] { state->RunChunks(); });
   }
 
   state->RunChunks();
   MutexLock lock(state->mu);
-  while (state->helpers_active != 0) state->done_cv.Wait(state->mu);
+  while (state->done.load(std::memory_order_acquire) != max_chunks) {
+    state->done_cv.Wait(state->mu);
+  }
 }
 
 void ParallelFor(size_t threads, size_t n,

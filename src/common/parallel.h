@@ -82,7 +82,10 @@ class ThreadPool {
 ///
 /// Serial cases — threads <= 1, n <= grain, or a call made from inside a
 /// pool worker (nested parallelism) — run body(0, n) on the calling thread
-/// and touch no synchronization at all.
+/// and touch no synchronization at all. Otherwise the call returns once
+/// every chunk has finished, whether or not its helper tasks ever left the
+/// pool's queue (the caller drains the chunks itself when the pool is busy
+/// with other work).
 void ParallelForChunked(size_t threads, size_t n, size_t grain,
                         const std::function<void(size_t, size_t)>& body);
 

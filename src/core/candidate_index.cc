@@ -299,25 +299,29 @@ Result<CandidateIndex::Outcome> CandidateIndex::Create(
 }
 
 std::vector<int32_t> CandidateIndex::TopK(const topk::LinearFunction& f,
-                                          size_t k) const {
+                                          size_t k,
+                                          std::optional<double> floor) const {
   k = std::min(k, full_->size());  // same clamp as topk::TopKScan
   RRR_CHECK(k <= k_) << "CandidateIndex: top-" << k
                      << " requested from a band built for k = " << k_;
   // Band-local ids ascend with original ids, so the kernel's (score desc,
   // id asc) order over the band is the full dataset's order.
-  std::vector<int32_t> ids = topk::TopKScan(*band_blocks_, f, k);
+  std::vector<int32_t> ids = topk::TopKScan(
+      *band_blocks_, f, k, topk::BlockSkip::kAuto, nullptr, floor);
   for (int32_t& id : ids) id = band_ids_[static_cast<size_t>(id)];
   return ids;
 }
 
-std::vector<int32_t> CandidateIndex::TopKSet(const topk::LinearFunction& f,
-                                             size_t k) const {
+std::vector<int32_t> CandidateIndex::TopKSet(
+    const topk::LinearFunction& f, size_t k,
+    std::optional<double> floor) const {
   k = std::min(k, full_->size());  // same clamp as topk::TopKSetScan
   RRR_CHECK(k <= k_) << "CandidateIndex: top-" << k
                      << " requested from a band built for k = " << k_;
   // Band ids ascend with original ids, so the sorted band-local set maps to
   // a sorted original-id set.
-  std::vector<int32_t> ids = topk::TopKSetScan(*band_blocks_, f, k);
+  std::vector<int32_t> ids = topk::TopKSetScan(
+      *band_blocks_, f, k, topk::BlockSkip::kAuto, nullptr, floor);
   for (int32_t& id : ids) id = band_ids_[static_cast<size_t>(id)];
   return ids;
 }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -165,11 +166,17 @@ class CandidateIndex {
   /// bit-identical to topk::TopKScan over the full mirror for k' <= k(),
   /// answered by the same buffered selection over band_blocks(), with
   /// block skip and scan counters as for any mirror. RRR_CHECKs k' <= k().
-  std::vector<int32_t> TopK(const topk::LinearFunction& f, size_t k) const;
+  /// `floor` is the kernel's score floor (topk/score_kernel.h): a lower
+  /// bound on the full dataset's k'-th best score, which the band shares
+  /// (the band holds every top-k'), so it passes through unmapped.
+  std::vector<int32_t> TopK(const topk::LinearFunction& f, size_t k,
+                            std::optional<double> floor = std::nullopt) const;
 
   /// TopK + ascending-sorted ids — bit-identical to topk::TopKSetScan over
   /// the full mirror.
-  std::vector<int32_t> TopKSet(const topk::LinearFunction& f, size_t k) const;
+  std::vector<int32_t> TopKSet(
+      const topk::LinearFunction& f, size_t k,
+      std::optional<double> floor = std::nullopt) const;
 
   /// \brief Exact minimum rank of `subset` under `f` over the FULL dataset —
   /// bit-identical to topk::MinRankOfSubset — computed over the band when

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -45,9 +46,11 @@ struct MdrcOptions {
   /// Cap on memoized corner top-k results (only used when SolveMdrc builds
   /// its own private cache; a shared CornerTopKCache carries its own cap).
   /// Past the cap new corners are evaluated without being cached (pure-CPU
-  /// fallback), which bounds the memo at roughly
-  /// max_cache_entries * (k + d) * 8 bytes even on explosive instances; the
-  /// solver additionally holds one depth's corner lists while it runs.
+  /// fallback). An entry holds its corner's ranked ids (4 bytes each, K of
+  /// them) and its key of d - 1 double angles, so the memo stays near
+  /// max_cache_entries * (4 * K + 8 * (d - 1)) bytes plus per-entry map
+  /// overhead even on explosive instances; the solver additionally holds
+  /// one depth's corner sets while it runs.
   size_t max_cache_entries = size_t{1} << 21;
 
   /// When a leaf's corner intersection contains an already-chosen tuple,
@@ -58,12 +61,13 @@ struct MdrcOptions {
   bool reuse_chosen = true;
 
   /// Worker threads for the partition expansion: 0 = hardware concurrency,
-  /// 1 = serial. Each depth's distinct cell corners are evaluated
-  /// concurrently (a corner-memo hit or one top-k scan each), then every
-  /// cell of the depth intersects its corners concurrently; leaf decisions
-  /// are replayed in the serial traversal order afterwards, so the
-  /// representative is identical for every thread count (the equivalence
-  /// tests pin this).
+  /// 1 = serial. Each depth looks its distinct cell corners up in the memo
+  /// on the calling thread and evaluates only the misses concurrently (one
+  /// top-k scan each); the depth's cells then intersect their corners
+  /// concurrently when there are enough of them to pay for it. Leaf
+  /// decisions are replayed in the serial traversal order afterwards, so
+  /// the representative is identical for every thread count (the
+  /// equivalence tests pin this).
   size_t threads = 0;
 };
 
@@ -139,16 +143,56 @@ class CornerTopKCache {
   /// (same meaning as MdrcOptions::max_cache_entries).
   CornerTopKCache(const data::Dataset& dataset, size_t max_entries);
 
-  /// The top-k of the corner function at `angles` as an ascending id set.
-  /// Thread-safe; `counters` (may be null) receives one hit (an entry
-  /// computed at some K >= k) or one evaluation for this call.
-  /// `candidates` (may be null) answers a miss with a kernel scan over its
+ private:
+  struct Entry;
+
+ public:
+  /// One caller's claim on a corner's memo entry, from Lookup. Holding it
+  /// keeps the entry (and so its ranked list) alive, even past Clear or a
+  /// larger-k replacement of the map slot.
+  class Handle {
+   public:
+    /// Whether the lookup counted as a hit: an entry computed (or being
+    /// computed) at some K >= k already held the corner's slot.
+    bool hit() const { return hit_; }
+    /// Whether the ranked list is filled, so Ranked cannot scan or wait.
+    bool ready() const;
+
+   private:
+    friend class CornerTopKCache;
+    std::shared_ptr<Entry> entry_;
+    bool hit_ = false;
+  };
+
+  /// Memo probe for the top-k at `angles`, without evaluating anything.
+  /// Thread-safe; `counters` (may be null) receives one hit (an entry at
+  /// some K >= k) or one evaluation for this call. A miss claims the slot
+  /// with an entry at exactly k — replacing a shorter entry in place — or,
+  /// when the shard is at capacity, an entry private to the handle.
+  Handle Lookup(size_t k, const geometry::Vec& angles, Counters* counters);
+
+  /// The handle's ranked list (best first, at least min(k, n) ids),
+  /// computed on the first call for its entry — other callers wait for it
+  /// rather than repeating the scan. `angles` and `k` must be the
+  /// Lookup's. `candidates` (may be null) answers the scan over its
   /// k-skyband mirror instead of a full scan — bit-identical by the
   /// CandidateIndex contract, so entries computed with and without an
-  /// index serve each other; it must be built over this cache's dataset
-  /// with candidates->k() >= k. Without an index, misses scan `blocks`,
-  /// the columnar mirror of this cache's dataset, through the blocked
-  /// scoring kernel.
+  /// index serve each other; it must be built over this cache's dataset,
+  /// and a band smaller than the entry's K is passed over for the full
+  /// mirror. Otherwise the scan runs over `blocks`, the columnar mirror of
+  /// this cache's dataset. `floor` (optional) is a proven lower bound on
+  /// the corner's k-th best score (topk/score_kernel.h); it seeds the scan
+  /// only when the entry is computed at exactly k, since it bounds nothing
+  /// about a K-th best for K > k.
+  const std::vector<int32_t>& Ranked(const Handle& handle, size_t k,
+                                     const geometry::Vec& angles,
+                                     const CandidateIndex* candidates,
+                                     const data::ColumnBlocks& blocks,
+                                     std::optional<double> floor =
+                                         std::nullopt);
+
+  /// Lookup + Ranked, as the top-k of the corner function at `angles`: an
+  /// ascending id set (the sorted k-prefix of the ranked list).
   std::vector<int32_t> TopKAt(size_t k, const geometry::Vec& angles,
                               Counters* counters,
                               const CandidateIndex* candidates,
@@ -165,8 +209,8 @@ class CornerTopKCache {
   /// signal for the service layer. An estimate, not an allocation census.
   size_t ApproxBytes() const;
 
-  /// Drops every memoized corner, so later TopKAt calls recompute.
-  /// Thread-safe and race-free against in-flight TopKAt calls: a computing
+  /// Drops every memoized corner, so later lookups recompute.
+  /// Thread-safe and race-free against in-flight handles: a computing
   /// thread holds its entry by shared_ptr and finishes against it
   /// unaffected — it just no longer shares with future callers.
   void Clear();
@@ -178,9 +222,9 @@ class CornerTopKCache {
     const size_t k;  // the K `ranked` is computed at
     std::once_flag once;
     std::vector<int32_t> ranked;  // top-K ids, best first
-    // rrr-lockfree: entries hit the shard map *before* call_once fills
-    // `ranked`; observers bypassing the once_flag (ApproxBytes) acquire
-    // `ready` before touching the vector, the filler store-releases it.
+    // rrr-lockfree: the map holds entries before call_once fills `ranked`;
+    // readers bypassing the once_flag (ApproxBytes, Handle::ready) acquire
+    // `ready` before touching it, the filler store-releases it.
     std::atomic<bool> ready{false};
   };
   struct KeyHash {
@@ -191,12 +235,6 @@ class CornerTopKCache {
     std::unordered_map<geometry::Vec, std::shared_ptr<Entry>, KeyHash> map
         RRR_GUARDED_BY(mu);
   };
-
-  /// Ranked top-k at `angles`: over the band when `candidates` is given,
-  /// else over `blocks`.
-  std::vector<int32_t> Evaluate(size_t k, const geometry::Vec& angles,
-                                const CandidateIndex* candidates,
-                                const data::ColumnBlocks& blocks) const;
 
   const data::Dataset& dataset_;
   size_t per_shard_cap_;

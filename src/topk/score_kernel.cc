@@ -54,6 +54,23 @@ __attribute__((target("avx2"))) void ScoreBlockAvx2(const double* weights,
     }
   }
 }
+
+/// AVX2 lane test: bit `lane` of the result is _mm256_cmp_pd(buf[lane], x,
+/// kPred), four lanes per compare, gathered by movemask. Same target gate as
+/// ScoreBlockAvx2.
+template <int kPred>
+__attribute__((target("avx2"))) uint64_t LaneMaskAvx2(const double* buf,
+                                                      double x) {
+  const __m256d t = _mm256_set1_pd(x);
+  uint64_t mask = 0;
+  for (size_t lane = 0; lane < kBlockRows; lane += 4) {
+    const __m256d v = _mm256_loadu_pd(buf + lane);
+    mask |= static_cast<uint64_t>(
+                _mm256_movemask_pd(_mm256_cmp_pd(v, t, kPred)))
+            << lane;
+  }
+  return mask;
+}
 #endif  // RRR_SCORE_KERNEL_X86
 
 /// Widest path the host CPU can execute (build-time x86 gate included).
@@ -261,6 +278,52 @@ void ScoreAll(const LinearFunction& f, const data::ColumnBlocks& blocks,
 
 namespace {
 
+/// Per-lane predicates of LaneMask against a reference score x.
+enum class LaneTest {
+  kNotBelow,  ///< !(s < x): NaN lanes pass (and every lane, when x is NaN)
+  kAbove,     ///< s > x: NaN never passes
+  kEqual,     ///< s == x: NaN never passes
+};
+
+template <LaneTest kTest>
+bool LanePasses(double s, double x) {
+  switch (kTest) {
+    case LaneTest::kNotBelow:
+      return !(s < x);
+    case LaneTest::kAbove:
+      return s > x;
+    case LaneTest::kEqual:
+      return s == x;
+  }
+  return false;
+}
+
+/// The 64 lane results of `kTest` over a scored block as a bitmap (bit
+/// `lane` for buf[lane]), padding and dead lanes included — callers AND in
+/// block_mask(). The AVX2 tier compares four lanes at a time with the
+/// matching IEEE predicate (NLT_UQ, GT_OQ, EQ_OQ: the same NaN outcomes as
+/// the scalar operators), so both tiers return the same bits.
+template <LaneTest kTest>
+uint64_t LaneMask(const double* buf, double x) {
+#ifdef RRR_SCORE_KERNEL_X86
+  if (ActiveScoreKernelPath() == ScoreKernelPath::kAvx2) {
+    switch (kTest) {
+      case LaneTest::kNotBelow:
+        return LaneMaskAvx2<_CMP_NLT_UQ>(buf, x);
+      case LaneTest::kAbove:
+        return LaneMaskAvx2<_CMP_GT_OQ>(buf, x);
+      case LaneTest::kEqual:
+        return LaneMaskAvx2<_CMP_EQ_OQ>(buf, x);
+    }
+  }
+#endif
+  uint64_t mask = 0;
+  for (size_t lane = 0; lane < kBlockRows; ++lane) {
+    mask |= static_cast<uint64_t>(LanePasses<kTest>(buf[lane], x)) << lane;
+  }
+  return mask;
+}
+
 /// One selection candidate: a lane's score and its (compacted) row id.
 struct Scored {
   double score;
@@ -287,16 +350,18 @@ struct Before {
 /// mirror in `best`, in unspecified order (1 <= k <= rows()).
 ///
 /// Each scored block is filtered against the running k-th best pair: a
-/// branch-free `!(score < thr)` lane test (NaN lanes pass it, and a NaN
-/// threshold passes every lane), then the exact order on the few lanes that
-/// pass. Survivors append to a buffer of ~2k entries; a full buffer is cut
-/// back to its k best by nth_element, which also tightens the threshold.
-/// The order is strict and total, so any correct selection keeps the same
-/// k pairs — the ones a full sort would. Block skip applies the strict-loss
-/// rule against the threshold once one exists.
+/// vector `!(score < thr)` lane test (NaN lanes pass it, and a NaN threshold
+/// passes every lane), then the exact order on the few lanes that pass.
+/// Survivors append to a buffer of ~2k entries; a full buffer is cut back to
+/// its k best by nth_element, which also tightens the threshold. The order
+/// is strict and total, so any correct selection keeps the same k pairs —
+/// the ones a full sort would. Block skip applies the strict-loss rule
+/// against the threshold once one exists. A `floor` is that threshold from
+/// block 0, as the pair (floor, INT32_MAX): every row scoring >= floor
+/// passes it, so the k best still all survive when floor <= the k-th best.
 void SelectTopK(const data::ColumnBlocks& blocks, const LinearFunction& f,
                 size_t k, BlockSkip skip, ScanStats* stats,
-                std::vector<Scored>* best) {
+                std::optional<double> floor, std::vector<Scored>* best) {
   RRR_DCHECK(f.dims() == blocks.dims()) << "TopKScan: dimension mismatch";
   const double* w = f.weights().data();
   const size_t d = blocks.dims();
@@ -306,8 +371,8 @@ void SelectTopK(const data::ColumnBlocks& blocks, const LinearFunction& f,
   ScanStats local;
   best->clear();
   best->reserve(std::min(flush_at + kBlockRows, blocks.rows()));
-  bool have_thr = false;
-  Scored thr{0.0, 0};
+  bool have_thr = floor.has_value();
+  Scored thr{floor.value_or(0.0), std::numeric_limits<int32_t>::max()};
 
   double buf[kBlockRows];
   const size_t num_blocks = blocks.num_blocks();
@@ -325,13 +390,7 @@ void SelectTopK(const data::ColumnBlocks& blocks, const LinearFunction& f,
     ScoreBlock(w, d, blocks.block(b), buf);
     const uint64_t live = blocks.block_mask(b);
     uint64_t pass = live;
-    if (have_thr) {
-      uint64_t hits = 0;
-      for (size_t lane = 0; lane < kBlockRows; ++lane) {
-        hits |= static_cast<uint64_t>(!(buf[lane] < thr.score)) << lane;
-      }
-      pass &= hits;
-    }
+    if (have_thr) pass &= LaneMask<LaneTest::kNotBelow>(buf, thr.score);
     // Live lanes in physical order carry consecutive compacted ids; for
     // dense mirrors that degenerates to base + lane.
     const int32_t base = static_cast<int32_t>(blocks.live_before(b));
@@ -352,6 +411,10 @@ void SelectTopK(const data::ColumnBlocks& blocks, const LinearFunction& f,
     }
   }
   CommitScanStats(local, stats);
+  RRR_CHECK(best->size() >= k)
+      << "TopKScan: score floor " << floor.value_or(0.0)
+      << " is above the k-th best score (" << best->size() << " of " << k
+      << " rows reach it)";
   if (best->size() > k) {
     std::nth_element(best->begin(), best->begin() + (k - 1), best->end(),
                      Before{});
@@ -363,14 +426,15 @@ void SelectTopK(const data::ColumnBlocks& blocks, const LinearFunction& f,
 
 std::vector<int32_t> TopKScan(const data::ColumnBlocks& blocks,
                               const LinearFunction& f, size_t k,
-                              BlockSkip skip, ScanStats* stats) {
+                              BlockSkip skip, ScanStats* stats,
+                              std::optional<double> floor) {
   k = std::min(k, blocks.rows());
   if (k == 0) {
     if (stats != nullptr) *stats = ScanStats{};
     return {};
   }
   std::vector<Scored> best;
-  SelectTopK(blocks, f, k, skip, stats, &best);
+  SelectTopK(blocks, f, k, skip, stats, floor, &best);
   std::sort(best.begin(), best.end(), Before{});
   std::vector<int32_t> out(k);
   for (size_t i = 0; i < k; ++i) out[i] = best[i].id;
@@ -379,14 +443,15 @@ std::vector<int32_t> TopKScan(const data::ColumnBlocks& blocks,
 
 std::vector<int32_t> TopKSetScan(const data::ColumnBlocks& blocks,
                                  const LinearFunction& f, size_t k,
-                                 BlockSkip skip, ScanStats* stats) {
+                                 BlockSkip skip, ScanStats* stats,
+                                 std::optional<double> floor) {
   k = std::min(k, blocks.rows());
   if (k == 0) {
     if (stats != nullptr) *stats = ScanStats{};
     return {};
   }
   std::vector<Scored> best;
-  SelectTopK(blocks, f, k, skip, stats, &best);
+  SelectTopK(blocks, f, k, skip, stats, floor, &best);
   std::vector<int32_t> out(k);
   for (size_t i = 0; i < k; ++i) out[i] = best[i].id;
   std::sort(out.begin(), out.end());
@@ -461,20 +526,19 @@ int64_t CountOutranking(const data::ColumnBlocks& blocks,
     }
     ++local.blocks_scanned;
     ScoreBlock(w, d, blocks.block(b), buf);
-    const size_t rows = blocks.block_rows(b);
-    const uint64_t mask = blocks.block_mask(b);
-    int32_t row_id = static_cast<int32_t>(blocks.live_before(b));
-    for (size_t lane = 0; lane < rows; ++lane) {
-      if (masked && !((mask >> lane) & 1)) continue;
-      const double s = buf[lane];
-      // Outranks(s, row_id, score, id), branch-light: the strict score
-      // comparison almost always decides.
-      if (s > score) {
-        ++count;
-      } else if (s == score && row_id < id) {
+    // Outranks(s, row_id, score, id): strict winners by popcount, then the
+    // few tying lanes by id. Padding and dead lanes drop with the live mask.
+    const uint64_t live = blocks.block_mask(b);
+    count += __builtin_popcountll(LaneMask<LaneTest::kAbove>(buf, score) &
+                                  live);
+    const int32_t base = static_cast<int32_t>(blocks.live_before(b));
+    for (uint64_t tie = LaneMask<LaneTest::kEqual>(buf, score) & live;
+         tie != 0; tie &= tie - 1) {
+      const int lane = __builtin_ctzll(tie);
+      const uint64_t below = (uint64_t{1} << lane) - 1;
+      if (base + (masked ? __builtin_popcountll(live & below) : lane) < id) {
         ++count;
       }
-      ++row_id;
     }
   }
   CommitScanStats(local, stats);

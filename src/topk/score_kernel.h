@@ -2,6 +2,7 @@
 #define RRR_TOPK_SCORE_KERNEL_H_
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "data/column_blocks.h"
@@ -42,6 +43,18 @@ namespace topk {
 /// skip-on results are bit-identical to skip-off (pinned by
 /// tests/topk/block_skip_test.cc). RRR_BLOCK_SKIP=off disables skipping
 /// process-wide; the BlockSkip parameter overrides per call (bench/tests).
+///
+/// \par Score floors
+/// TopKScan/TopKSetScan optionally take a score floor: a caller-proven lower
+/// bound on the k-th best score (e.g. the k-th best, under f, of k rows known
+/// from a nearby function's top-k — LinearFunction::Score is bit-identical to
+/// the lane scores, so such a floor holds bit-exactly). The selection then
+/// starts with the threshold (floor, INT32_MAX) instead of none: the lane
+/// filter and block skipping work from block 0, and a row scoring exactly
+/// the floor still passes the unchanged strict tie-order test, so floored
+/// results are bit-identical to unfloored ones. A floor above the true k-th
+/// best score is a caller bug and trips a CHECK (fewer than k rows survive);
+/// a floor cannot hold when NaN scores reach the top-k.
 
 /// Which inner path ScoreBlock dispatches to on this host/build.
 enum class ScoreKernelPath {
@@ -142,17 +155,21 @@ void ScoreAll(const LinearFunction& f, const data::ColumnBlocks& blocks,
 /// O(n) score materialization and no O(n) index sort. Once a threshold
 /// exists, blocks whose upper bound loses strictly to it are skipped (see
 /// BlockSkip); `stats` (optional) receives this call's scan/skip counts.
+/// `floor` (optional) is a proven lower bound on the k-th best score that
+/// seeds the threshold (see "Score floors" above).
 std::vector<int32_t> TopKScan(const data::ColumnBlocks& blocks,
                               const LinearFunction& f, size_t k,
                               BlockSkip skip = BlockSkip::kAuto,
-                              ScanStats* stats = nullptr);
+                              ScanStats* stats = nullptr,
+                              std::optional<double> floor = std::nullopt);
 
 /// The same selection as TopKScan, returned as a set: the top-k ids sorted
 /// ascending (the k-set form), without the best-first sort.
 std::vector<int32_t> TopKSetScan(const data::ColumnBlocks& blocks,
                                  const LinearFunction& f, size_t k,
                                  BlockSkip skip = BlockSkip::kAuto,
-                                 ScanStats* stats = nullptr);
+                                 ScanStats* stats = nullptr,
+                                 std::optional<double> floor = std::nullopt);
 
 /// Maximum score over all mirrored rows (== max_i f.Score(row i); the
 /// regret-ratio evaluators' full-scan numerator). Requires rows() > 0.

@@ -1,6 +1,8 @@
 #include "common/parallel.h"
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <numeric>
 #include <vector>
 
@@ -119,6 +121,38 @@ TEST(ParallelForTest, ParallelSumMatchesSerial) {
     sum.fetch_add(local);
   });
   EXPECT_EQ(sum.load(), static_cast<int64_t>(kN) * (kN + 1) / 2);
+}
+
+TEST(ParallelForTest, CallerWaitsForItsChunksNotForQueuedHelpers) {
+  // Park every shared-pool worker on a latch, as another query's helpers
+  // would occupy them. The caller can run all chunks itself, so the loop
+  // must finish although none of its helper tasks has been dequeued.
+  ThreadPool& pool = ThreadPool::Shared();
+  pool.EnsureWorkers(4);
+  const size_t workers = pool.size();
+  std::promise<void> release;
+  std::shared_future<void> latch = release.get_future().share();
+  std::atomic<size_t> parked{0};
+  for (size_t w = 0; w < workers; ++w) {
+    pool.Submit([latch, &parked] {
+      parked.fetch_add(1);
+      latch.wait();
+    });
+  }
+  while (parked.load() < workers) std::this_thread::yield();
+
+  std::atomic<size_t> covered{0};
+  std::future<void> loop = std::async(std::launch::async, [&covered] {
+    ParallelForChunked(4, 256, 1, [&covered](size_t begin, size_t end) {
+      covered.fetch_add(end - begin);
+    });
+  });
+  const bool finished =
+      loop.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  release.set_value();
+  loop.wait();
+  EXPECT_TRUE(finished) << "ParallelForChunked waited for parked helpers";
+  EXPECT_EQ(covered.load(), 256u);
 }
 
 TEST(ParallelForTest, ManyConcurrentLoopsFromManyThreads) {

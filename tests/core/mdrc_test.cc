@@ -1,7 +1,11 @@
 #include "core/mdrc.h"
 
 #include <algorithm>
+#include <cmath>
+#include <iterator>
 #include <map>
+#include <set>
+#include <string>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -13,6 +17,7 @@
 #include "eval/rank_regret.h"
 #include "geometry/convex_hull.h"
 #include "test_util.h"
+#include "topk/score_kernel.h"
 
 namespace rrr {
 namespace core {
@@ -553,6 +558,179 @@ TEST(MdrcNestedReuseTest, RankedEntryServesEveryPrefixExactly) {
   EXPECT_EQ(counters.evals.load(), 1u);
   EXPECT_EQ(counters.hits.load(), 1u);
   EXPECT_EQ(cache.entries(), corners.size());
+}
+
+// --- Seeded, dense-set depths vs an unfloored reference ---------------------
+//
+// SolveMdrc resolves each depth with memo lookups on the calling thread,
+// floors for the corners the last split created, bitmap corner sets for
+// k >= n / 64 and sorted lists below. ReferenceMdrc restates Algorithm 5
+// without any of that: a serial level-by-level expansion over a plain map of
+// ranked lists (a hit is an entry at some K >= k, served as its k-prefix), an
+// unfloored TopKScan per miss, sorted-set intersections, the same leaf
+// replay. Over one shared cache, a SOLVE ladder and a dual search's probes
+// must match it — representative and every MdrcStats field.
+
+/// Ranked corner lists keyed by corner angles, shared across reference
+/// solves like a CornerTopKCache.
+using ReferenceMemo = std::map<geometry::Vec, std::vector<int32_t>>;
+
+struct ReferenceSolve {
+  std::vector<int32_t> rep;
+  MdrcStats stats;
+};
+
+ReferenceSolve ReferenceMdrc(const data::Dataset& ds,
+                             const data::ColumnBlocks& blocks, size_t k,
+                             ReferenceMemo* memo) {
+  struct Cell {
+    std::vector<std::pair<double, double>> box;
+    size_t level = 0;
+    std::string path;
+  };
+  const size_t angle_dims = ds.dims() - 1;
+  const size_t max_level = MdrcOptions{}.max_splits_per_dim * angle_dims;
+  const size_t kk = std::min(k, ds.size());
+  ReferenceSolve out;
+  MdrcStats& stats = out.stats;
+  std::vector<std::pair<std::string, std::vector<int32_t>>> leaves;
+  std::vector<Cell> frontier(1);
+  frontier[0].box.assign(angle_dims, {0.0, geometry::kHalfPi});
+  while (!frontier.empty()) {
+    stats.nodes += frontier.size();
+    stats.max_depth = frontier.front().level;
+    std::map<geometry::Vec, std::vector<int32_t>> depth_sets;
+    std::vector<Cell> next;
+    for (Cell& cell : frontier) {
+      std::vector<int32_t> common;
+      int32_t all_lows_front = -1;
+      for (size_t mask = 0; mask < (size_t{1} << angle_dims); ++mask) {
+        geometry::Vec angles(angle_dims);
+        for (size_t j = 0; j < angle_dims; ++j) {
+          angles[j] = (mask >> j & 1) ? cell.box[j].second : cell.box[j].first;
+        }
+        auto it = depth_sets.find(angles);
+        if (it == depth_sets.end()) {
+          auto entry = memo->find(angles);
+          if (entry != memo->end() && entry->second.size() >= kk) {
+            ++stats.cache_hits;
+          } else {
+            ++stats.corner_evals;
+            entry = memo->insert_or_assign(
+                             angles,
+                             topk::TopKScan(
+                                 blocks,
+                                 topk::LinearFunction::FromAngles(angles),
+                                 kk))
+                        .first;
+          }
+          std::vector<int32_t> set(entry->second.begin(),
+                                   entry->second.begin() +
+                                       static_cast<std::ptrdiff_t>(kk));
+          std::sort(set.begin(), set.end());
+          it = depth_sets.emplace(angles, std::move(set)).first;
+        }
+        if (mask == 0) {
+          all_lows_front = it->second.front();
+          common = it->second;
+        } else {
+          std::vector<int32_t> both;
+          std::set_intersection(common.begin(), common.end(),
+                                it->second.begin(), it->second.end(),
+                                std::back_inserter(both));
+          common.swap(both);
+        }
+      }
+      if (!common.empty()) {
+        ++stats.leaves;
+        leaves.emplace_back(cell.path, std::move(common));
+      } else if (cell.level >= max_level) {
+        ++stats.depth_cap_leaves;
+        leaves.emplace_back(cell.path, std::vector<int32_t>{all_lows_front});
+      } else {
+        const size_t dim = cell.level % angle_dims;
+        const double mid = 0.5 * (cell.box[dim].first + cell.box[dim].second);
+        Cell upper = cell;
+        upper.level = cell.level + 1;
+        upper.box[dim].first = mid;
+        upper.path.push_back('0');
+        Cell lower = cell;
+        lower.level = upper.level;
+        lower.box[dim].second = mid;
+        lower.path.push_back('1');
+        next.push_back(std::move(upper));
+        next.push_back(std::move(lower));
+      }
+    }
+    frontier = std::move(next);
+  }
+  // Leaf replay in path order: reuse a chosen member, else the smallest.
+  std::sort(leaves.begin(), leaves.end());
+  std::set<int32_t> chosen;
+  for (const auto& leaf : leaves) {
+    const std::vector<int32_t>& ids = leaf.second;
+    if (std::none_of(ids.begin(), ids.end(),
+                     [&](int32_t id) { return chosen.count(id) != 0; })) {
+      chosen.insert(ids.front());
+    }
+  }
+  out.rep.assign(chosen.begin(), chosen.end());
+  return out;
+}
+
+void ExpectSameStats(const MdrcStats& got, const MdrcStats& want,
+                     const std::string& where) {
+  EXPECT_EQ(got.nodes, want.nodes) << where;
+  EXPECT_EQ(got.leaves, want.leaves) << where;
+  EXPECT_EQ(got.corner_evals, want.corner_evals) << where;
+  EXPECT_EQ(got.cache_hits, want.cache_hits) << where;
+  EXPECT_EQ(got.depth_cap_leaves, want.depth_cap_leaves) << where;
+  EXPECT_EQ(got.max_depth, want.max_depth) << where;
+  EXPECT_EQ(got.skyband_size, want.skyband_size) << where;
+}
+
+TEST(MdrcSeededDepthTest, SolveAndDualOverOneCacheMatchTheReference) {
+  // A SOLVE ladder straddling n / 64 = 312 (bitmaps at 600, sorted lists
+  // below), then a dual search's probes: the far larger k's of the zigzag
+  // take fresh, floored scans, the way back down is served by prefixes.
+  std::vector<size_t> sequence = {600, 300, 150};
+  sequence.insert(sequence.end(), kDualZigzag.begin(), kDualZigzag.end());
+  std::vector<NestedFamily> families = NestedFamilies();
+  // Coarse anticorrelated values: exact score ties everywhere, so floors
+  // often equal the k-th score and the id order decides the boundary.
+  const data::Dataset anti = data::GenerateAnticorrelated(kNestedRows, 4, 11);
+  std::vector<std::vector<double>> coarse;
+  for (size_t i = 0; i < anti.size(); ++i) {
+    std::vector<double> row(anti.row(i), anti.row(i) + anti.dims());
+    for (double& v : row) v = std::round(v * 16.0) / 16.0;
+    coarse.push_back(std::move(row));
+  }
+  families.push_back({"tie-heavy anticorrelated", testing::MakeDataset(coarse)});
+  for (const NestedFamily& family : families) {
+    const data::ColumnBlocks blocks = testing::MustBuildBlocks(family.data);
+    ReferenceMemo memo;
+    std::vector<ReferenceSolve> want;
+    for (size_t k : sequence) {
+      want.push_back(ReferenceMdrc(family.data, blocks, k, &memo));
+    }
+    for (size_t threads : {1u, 4u}) {
+      MdrcOptions opts;
+      opts.threads = threads;
+      CornerTopKCache cache(family.data, size_t{1} << 20);
+      for (size_t i = 0; i < sequence.size(); ++i) {
+        const std::string where = std::string(family.name) +
+                                  " k=" + std::to_string(sequence[i]) +
+                                  " threads=" + std::to_string(threads);
+        MdrcStats stats;
+        Result<std::vector<int32_t>> rep = SolveMdrc(
+            family.data, sequence[i], opts, &stats, {}, &cache, nullptr,
+            &blocks);
+        ASSERT_TRUE(rep.ok()) << where << ": " << rep.status().ToString();
+        EXPECT_EQ(*rep, want[i].rep) << where;
+        ExpectSameStats(stats, want[i].stats, where);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -5,8 +5,11 @@
 // points, over dense, masked and appended mirrors, with block skip forced
 // on and off. Ties (duplicate rows) and zero-weight corner functions are
 // where a selection that bends the (score desc, id asc) order would show.
+// Score floors (a lower bound on the k-th best score seeding the threshold)
+// must leave both selections unchanged on every kernel tier.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -167,6 +170,130 @@ TEST(TopKSelectTest, EmptyRequestsScanNothing) {
   EXPECT_TRUE(TopKScan(blocks, f, 0, BlockSkip::kAuto, &stats).empty());
   EXPECT_EQ(stats.blocks_scanned + stats.blocks_skipped, 0u);
   EXPECT_TRUE(TopKSetScan(blocks, f, 0).empty());
+}
+
+// --- Score floors -----------------------------------------------------------
+//
+// A floor is a lower bound on the k-th best score that seeds the selection
+// threshold. Any valid floor — up to the exact k-th best score, where rows
+// tying with the k-th row on both sides of its id must still sort by id —
+// must leave both selections bit-identical to the unfloored scan, and skip
+// at least as many blocks when it is the exact k-th score.
+
+/// Floored selections against the unfloored ones over `blocks`, on every
+/// kernel tier, with skip on and off. Sets *saw_split_tie when some k-th
+/// row had tying rows with both smaller and larger ids.
+void ExpectFlooredScansMatch(const data::ColumnBlocks& blocks,
+                             const data::Dataset& source,
+                             const std::string& tag, bool* saw_split_tie) {
+  const ScoreKernelPath original = ActiveScoreKernelPath();
+  for (ScoreKernelPath path :
+       {ScoreKernelPath::kScalarBlocked, ScoreKernelPath::kAvx2}) {
+    const std::string tier = ScoreKernelPathName(ForceScoreKernelPath(path));
+    for (const LinearFunction& f : Functions(43)) {
+      std::vector<double> scores(source.size());
+      for (size_t i = 0; i < source.size(); ++i) {
+        scores[i] = f.Score(source.row(i));
+      }
+      const double lowest = *std::min_element(scores.begin(), scores.end());
+      for (size_t k : Ks(source.size())) {
+        const std::vector<int32_t> ranked = testing::BruteTopK(source, f, k);
+        const int32_t kth_id = ranked.back();
+        const double kth = scores[static_cast<size_t>(kth_id)];
+        bool tie_below = false;
+        bool tie_above = false;
+        for (size_t i = 0; i < scores.size(); ++i) {
+          if (scores[i] != kth) continue;
+          tie_below |= static_cast<int32_t>(i) < kth_id;
+          tie_above |= static_cast<int32_t>(i) > kth_id;
+        }
+        *saw_split_tie |= tie_below && tie_above;
+        const std::vector<int32_t> want_set =
+            testing::BruteTopKSet(source, f, k);
+        for (BlockSkip skip : {BlockSkip::kForceOn, BlockSkip::kForceOff}) {
+          ScanStats plain;
+          ASSERT_EQ(TopKScan(blocks, f, k, skip, &plain), ranked);
+          for (double floor :
+               {kth, std::nextafter(kth, -HUGE_VAL), lowest, -HUGE_VAL}) {
+            const std::string where =
+                tag + " " + tier + " k=" + std::to_string(k) +
+                " floor=" + std::to_string(floor) +
+                (skip == BlockSkip::kForceOn ? " skip=on" : " skip=off");
+            ScanStats stats;
+            EXPECT_EQ(TopKScan(blocks, f, k, skip, &stats, floor), ranked)
+                << where;
+            EXPECT_EQ(stats.blocks_scanned + stats.blocks_skipped,
+                      blocks.num_blocks())
+                << where;
+            EXPECT_EQ(TopKSetScan(blocks, f, k, skip, nullptr, floor),
+                      want_set)
+                << where;
+            // The exact k-th score is the tightest threshold any scan can
+            // reach, so it skips at least what the unfloored scan did.
+            if (floor == kth) {
+              EXPECT_GE(stats.blocks_skipped, plain.blocks_skipped) << where;
+            }
+          }
+        }
+      }
+    }
+  }
+  ForceScoreKernelPath(original);
+}
+
+TEST(TopKFloorTest, FlooredScansMatchUnflooredOnDenseMirrors) {
+  for (const Family& family : Families(700, 13)) {
+    bool saw_split_tie = false;
+    ExpectFlooredScansMatch(MustBuild(family.data), family.data, family.name,
+                            &saw_split_tie);
+    if (family.name == "duplicate-heavy") {
+      EXPECT_TRUE(saw_split_tie) << "no k-th row tied on both sides";
+    }
+  }
+}
+
+TEST(TopKFloorTest, FlooredScansMatchUnflooredOnMaskedMirrors) {
+  for (const Family& family : Families(400, 15)) {
+    std::vector<std::vector<double>> rows = Rows(family.data);
+    data::ColumnBlocks masked = MustBuild(family.data);
+    std::vector<data::Dataset> keep_alive;  // masked mirrors point at these
+    keep_alive.reserve(3);
+    for (size_t victim : {size_t{5}, size_t{64}, size_t{300}}) {
+      rows.erase(rows.begin() + static_cast<int64_t>(victim));
+      keep_alive.push_back(testing::MakeDataset(rows));
+      Result<data::ColumnBlocks> next =
+          masked.WithoutRow(&keep_alive.back(), victim);
+      ASSERT_TRUE(next.ok()) << next.status().ToString();
+      masked = std::move(*next);
+    }
+    ASSERT_TRUE(masked.masked());
+    bool saw_split_tie = false;
+    ExpectFlooredScansMatch(masked, keep_alive.back(),
+                            family.name + " masked", &saw_split_tie);
+    if (family.name == "duplicate-heavy") {
+      EXPECT_TRUE(saw_split_tie) << "no k-th row tied on both sides";
+    }
+  }
+}
+
+TEST(TopKFloorDeathTest, FloorAboveTheKthScoreTripsTheCheck) {
+  // Rows scoring above the k-th best all outrank the k-th row, so fewer
+  // than k reach a floor one ulp above its score: the scan must refuse
+  // rather than return a short or wrong top-k.
+  const std::vector<Family> families = Families(700, 13);
+  const data::Dataset& ds = families.back().data;  // duplicate-heavy
+  const data::ColumnBlocks blocks = MustBuild(ds);
+  const LinearFunction f = Functions(43).back();
+  const size_t k = 65;
+  const std::vector<int32_t> ranked = testing::BruteTopK(ds, f, k);
+  const double kth = f.Score(ds.row(static_cast<size_t>(ranked.back())));
+  const double impossible = std::nextafter(kth, HUGE_VAL);
+  EXPECT_DEATH((void)TopKScan(blocks, f, k, BlockSkip::kAuto, nullptr,
+                              impossible),
+               "above the k-th best score");
+  EXPECT_DEATH((void)TopKSetScan(blocks, f, k, BlockSkip::kForceOff, nullptr,
+                                 impossible),
+               "above the k-th best score");
 }
 
 }  // namespace
