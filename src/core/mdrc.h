@@ -264,7 +264,8 @@ class CornerTopKCache {
 /// Fails with InvalidArgument for k == 0 or an empty dataset, and with
 /// ResourceExhausted when the recursion exceeds options.max_nodes. Returns
 /// Cancelled/DeadlineExceeded (no partial representative) when `ctx`
-/// preempts the expansion, which is checked per corner evaluation.
+/// preempts the expansion, which is checked once per depth and once per
+/// corner scan.
 ///
 /// `candidates` (may be null) routes every uncached corner top-k through
 /// the k-skyband candidate index (core/candidate_index.h) instead of a
