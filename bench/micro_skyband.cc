@@ -1,9 +1,14 @@
 // The k-skyband reference computation (geometry::KSkyband: cost and band
-// fraction) and unpruned K-SETr time on dominance-heavy (correlated) vs
-// adversarial (anticorrelated) data.
+// fraction), unpruned K-SETr time on dominance-heavy (correlated) vs
+// adversarial (anticorrelated) data, and the prepared dataset's chain of
+// k-band candidate indexes under the engine's k patterns.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <vector>
+
 #include "core/kset_sampler.h"
+#include "core/prepared_dataset.h"
 #include "data/generators.h"
 #include "geometry/dominance.h"
 
@@ -53,5 +58,46 @@ void BM_KSetr_Anticorrelated(benchmark::State& state) {
   RunSampler(state, ds);
 }
 BENCHMARK(BM_KSetr_Anticorrelated)->Arg(2000);
+
+void BM_CandidateChain(benchmark::State& state) {
+  // cold_explore's SOLVE ladder 500 -> 70, then a DUAL search's probe
+  // order, through one PreparedDataset's SharedCandidateIndex on uniform
+  // n = 20000, d = 4 under the default build policy. One iteration is the
+  // whole sequence from a fresh prepared dataset (its creation untimed).
+  // builds and declines count the requests that were not served from the
+  // chain (the rest reused a retained index); retained and candidate_bytes
+  // describe the chain the sequence left.
+  const Dataset ds = rrr::data::GenerateUniform(20000, 4, 1);
+  const std::vector<size_t> ks = {500,  400,  350,  300, 260, 230, 200,
+                                  180,  160,  140,  120, 100, 90,  80,
+                                  70,   10000, 5000, 2500, 1250, 625, 937,
+                                  781,  859,  820,  839, 829, 824, 822, 821};
+  size_t builds = 0;
+  size_t declines = 0;
+  size_t retained = 0;
+  size_t bytes = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::shared_ptr<const rrr::core::PreparedDataset> prepared =
+        rrr::core::PreparedDataset::Create(ds).value();
+    state.ResumeTiming();
+    builds = 0;
+    declines = 0;
+    for (size_t k : ks) {
+      bool hit = false;
+      auto index = prepared->SharedCandidateIndex(k, 1, {}, &hit).value();
+      benchmark::DoNotOptimize(index);
+      if (!hit) ++(index != nullptr ? builds : declines);
+    }
+    retained = prepared->CandidateChain().size();
+    bytes = prepared->ApproxArtifactBytes().candidates;
+  }
+  state.counters["requests"] = static_cast<double>(ks.size());
+  state.counters["builds"] = static_cast<double>(builds);
+  state.counters["declines"] = static_cast<double>(declines);
+  state.counters["retained"] = static_cast<double>(retained);
+  state.counters["candidate_bytes"] = static_cast<double>(bytes);
+}
+BENCHMARK(BM_CandidateChain)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -147,13 +147,11 @@ Result<std::vector<uint32_t>> CandidateIndex::CountAlwaysOutrankers(
 
 CandidateIndex::CandidateIndex(const data::Dataset& full, size_t k,
                                data::Dataset band,
-                               std::vector<int32_t> band_ids,
-                               std::vector<char> in_band)
+                               std::vector<int32_t> band_ids)
     : full_(&full),
       k_(k),
       band_(std::move(band)),
-      band_ids_(std::move(band_ids)),
-      in_band_(std::move(in_band)) {
+      band_ids_(std::move(band_ids)) {
   // The band is this index's hot scan surface (every TopK/TopKSet, the
   // MinRankOfSubset band count, the band sweep's initial scoring), so its
   // columnar mirror is built unconditionally — one O(band * d) pass,
@@ -266,20 +264,21 @@ Result<CandidateIndex::Outcome> CandidateIndex::Create(
     out.counts = owned_counts;
   }
 
-  std::vector<int32_t> band_ids;
-  band_ids.reserve(n);
-  std::vector<char> in_band(n, 0);
-  for (size_t i = 0; i < n; ++i) {
-    if ((*counts)[i] < kk) {
-      band_ids.push_back(static_cast<int32_t>(i));
-      in_band[i] = 1;
-    }
-  }
+  // Sized exactly: the index keeps band_ids for life, and ApproxBytes (the
+  // service's eviction signal) reads its capacity.
+  const size_t band_size = static_cast<size_t>(
+      std::count_if(counts->begin(), counts->end(),
+                    [kk](uint32_t c) { return c < kk; }));
   const double fraction =
-      static_cast<double>(band_ids.size()) / static_cast<double>(n);
+      static_cast<double>(band_size) / static_cast<double>(n);
   if (fraction > options.max_band_fraction) {
     out.decline_reason = "band keeps too large a fraction of the rows";
     return out;
+  }
+  std::vector<int32_t> band_ids;
+  band_ids.reserve(band_size);
+  for (size_t i = 0; i < n; ++i) {
+    if ((*counts)[i] < kk) band_ids.push_back(static_cast<int32_t>(i));
   }
 
   const size_t d = dataset.dims();
@@ -294,7 +293,7 @@ Result<CandidateIndex::Outcome> CandidateIndex::Create(
   RRR_CHECK(band.ok()) << band.status().ToString();
   out.index = std::shared_ptr<const CandidateIndex>(
       new CandidateIndex(dataset, kk, std::move(band).value(),
-                         std::move(band_ids), std::move(in_band)));
+                         std::move(band_ids)));
   return out;
 }
 
@@ -403,7 +402,6 @@ int64_t CandidateIndex::MinRankOfSubset(
 size_t CandidateIndex::ApproxBytes() const {
   size_t bytes = band_.size() * band_.dims() * sizeof(double);
   bytes += band_ids_.capacity() * sizeof(int32_t);
-  bytes += in_band_.capacity() * sizeof(char);
   bytes += band_blocks_->ApproxBytes();
   if (band_sweep_ != nullptr) bytes += band_sweep_->ApproxBytes();
   return bytes;

@@ -1,6 +1,7 @@
 #ifndef RRR_CORE_CANDIDATE_INDEX_H_
 #define RRR_CORE_CANDIDATE_INDEX_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -96,7 +97,8 @@ bool AlwaysOutranks(const double* j_row, int32_t j, const double* i_row,
 /// k' <= k, the ordered top-k' of the band (ids mapped back) equals the
 /// ordered top-k' of the full dataset. The band is monotone in k — the
 /// (k+1)-band contains the k-band — which is what lets PreparedDataset
-/// cache the largest computed dominance count and slice it for smaller k.
+/// cache the largest computed dominance count and slice it for smaller k,
+/// and serve a smaller k from a retained index of a larger one.
 ///
 /// Cost: the count sorts rows by coordinate sum (only earlier rows in that
 /// order can always-outrank a row) and scans each row's prefix with an
@@ -153,8 +155,9 @@ class CandidateIndex {
   /// band() row -> original dataset id (ascending).
   const std::vector<int32_t>& band_ids() const { return band_ids_; }
   size_t band_size() const { return band_ids_.size(); }
+  /// Band membership, by binary search over the ascending band_ids().
   bool in_band(int32_t id) const {
-    return in_band_[static_cast<size_t>(id)] != 0;
+    return std::binary_search(band_ids_.begin(), band_ids_.end(), id);
   }
   /// Angular sweep over the band; non-null iff the data is 2D.
   const AngularSweep* band_sweep() const { return band_sweep_.get(); }
@@ -196,7 +199,7 @@ class CandidateIndex {
                           const data::ColumnBlocks* full_blocks =
                               nullptr) const;
 
-  /// Approximate heap footprint in bytes: the band dataset, its id maps,
+  /// Approximate heap footprint in bytes: the band dataset, its id map,
   /// the band's columnar mirror, and the 2D band sweep. The service layer's
   /// eviction budget reads this; it is an estimate, not an allocation
   /// census.
@@ -204,13 +207,12 @@ class CandidateIndex {
 
  private:
   CandidateIndex(const data::Dataset& full, size_t k, data::Dataset band,
-                 std::vector<int32_t> band_ids, std::vector<char> in_band);
+                 std::vector<int32_t> band_ids);
 
   const data::Dataset* full_;
   size_t k_;
   data::Dataset band_;
   std::vector<int32_t> band_ids_;
-  std::vector<char> in_band_;  // indexed by original id
   std::unique_ptr<data::ColumnBlocks> band_blocks_;
   std::unique_ptr<AngularSweep> band_sweep_;  // d == 2 only
 };

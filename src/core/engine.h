@@ -51,9 +51,11 @@ struct Diagnostics {
   /// Ranking functions drawn by Evaluate's sampled estimator (0 for the
   /// exact 2D path and for Solve/SolveDual queries).
   size_t eval_functions_sampled = 0;
-  /// Size of the shared k-skyband candidate set the query's top-k probes
-  /// ran over (0 when the index declined to build or the path has no top-k
-  /// probes — results are bit-identical either way).
+  /// Band rows the query's top-k probes actually scanned: the shared
+  /// candidate index it was served, which covers the k-skyband and holds
+  /// at most twice its rows (PreparedDataset::SharedCandidateIndex). 0 when
+  /// the index declined to build or the path has no top-k probes — results
+  /// are bit-identical either way.
   size_t skyband_size = 0;
   /// Estimated dataset rows the k-skyband pruning kept out of top-k scans:
   /// pruned probes x (n - skyband_size). A throughput observability signal

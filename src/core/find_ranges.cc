@@ -47,13 +47,16 @@ Result<std::vector<ItemRange>> FindRanges(const data::Dataset& dataset,
   std::vector<ItemRange> local(m);
   const auto& order = sweep->InitialOrder();
 
-  // Items in the top-k at theta = 0 start their range there.
+  // Items in the top-k at theta = 0 start their range there. `entered`
+  // holds the angle of each item's latest entry into the top-k.
   std::vector<char> in_topk_now(m, 0);
+  std::vector<double> entered(m, -1.0);
   for (size_t i = 0; i < kk; ++i) {
     const auto id = static_cast<size_t>(order[i]);
     local[id].in_topk = true;
     local[id].begin = 0.0;
     in_topk_now[id] = 1;
+    entered[id] = 0.0;
   }
 
   PreemptionGate gate(ctx, 1024);
@@ -69,11 +72,14 @@ Result<std::vector<ItemRange>> FindRanges(const data::Dataset& dataset,
           local[up].begin = ev.angle;
         }
         in_topk_now[up] = 1;
-        if (local[down].begin == ev.angle) {
+        entered[up] = ev.angle;
+        if (entered[down] == ev.angle) {
           // Entered and left at the same angle: a transient visitor of an
-          // equal-angle tie cascade. Its net range is empty — drop it so a
-          // zero-width phantom interval can never be picked as a cover.
-          local[down].in_topk = false;
+          // equal-angle tie cascade, a bookkeeping state no function
+          // realizes. The visit leaves the range as it was: none on a first
+          // visit (so a zero-width phantom interval can never be picked as
+          // a cover), the earlier exit otherwise.
+          if (local[down].begin == ev.angle) local[down].in_topk = false;
         } else {
           local[down].end = ev.angle;  // overwritten on re-entry/re-exit
         }

@@ -21,13 +21,65 @@ size_t PreparedDataset::KSetKeyHash::operator()(const KSetKey& key) const {
   return static_cast<size_t>(h);
 }
 
+namespace {
+
+/// A served band may hold up to this many times the k-band's rows, and
+/// consecutive retained bands differ by more than this factor.
+constexpr size_t kBandSlack = 2;
+
+/// band_sizes[k] = |k-band| = #{rows with count < k} for k <= cap: the
+/// cumulative histogram of always-outranker counts capped at `cap`.
+std::vector<uint32_t> BandSizes(const std::vector<uint32_t>& counts,
+                                size_t cap) {
+  std::vector<uint32_t> band_sizes(cap + 1, 0);
+  for (uint32_t c : counts) {
+    if (c < cap) ++band_sizes[c + 1];
+  }
+  for (size_t k = 1; k <= cap; ++k) band_sizes[k] += band_sizes[k - 1];
+  return band_sizes;
+}
+
+using CandidateChainVec = std::vector<std::shared_ptr<const CandidateIndex>>;
+
+/// The first index of `chain` (ascending k) with k() >= k: the narrowest
+/// band valid for k.
+CandidateChainVec::const_iterator NarrowestFor(const CandidateChainVec& chain,
+                                               size_t k) {
+  return std::lower_bound(
+      chain.begin(), chain.end(), k,
+      [](const std::shared_ptr<const CandidateIndex>& index, size_t key) {
+        return index->k() < key;
+      });
+}
+
+/// Inserts `index` into `chain` (ascending k, hence ascending band) and
+/// drops every retained index whose band is within kBandSlack of the new
+/// one, so consecutive bands keep more than doubling. A narrower dropped
+/// index answered only k's the new one now answers within the slack; a
+/// wider one only k's whose bands it no longer serves better.
+void RetainInChain(std::shared_ptr<const CandidateIndex> index,
+                   CandidateChainVec* chain) {
+  const size_t band = index->band_size();
+  chain->erase(
+      std::remove_if(chain->begin(), chain->end(),
+                     [band](const std::shared_ptr<const CandidateIndex>& r) {
+                       const size_t other = r->band_size();
+                       return other <= band ? kBandSlack * other >= band
+                                            : kBandSlack * band >= other;
+                     }),
+      chain->end());
+  const auto pos = NarrowestFor(*chain, index->k());
+  chain->insert(pos, std::move(index));
+}
+
+}  // namespace
+
 PreparedDataset::PreparedDataset(data::Dataset dataset, const Options& options,
                                  DatasetVersion version)
     : data_(std::move(dataset)),
       options_(options),
       version_(version),
-      kset_cache_(options.max_kset_cache_entries),
-      candidate_cache_(options.max_candidate_cache_entries) {
+      kset_cache_(options.max_kset_cache_entries) {
   corner_cache_ = std::make_unique<CornerTopKCache>(
       data_, options.max_corner_cache_entries);
 }
@@ -80,11 +132,14 @@ Result<std::shared_ptr<const PreparedDataset>> PreparedDataset::CreateVersioned(
     prepared->column_blocks_ = std::move(seed.blocks);
   }
   if (seed.counts != nullptr) {
+    const size_t cap = std::min(seed.counts_cap, n);
+    std::vector<uint32_t> band_sizes = BandSizes(*seed.counts, cap);
     // Uncontended (the object is not yet published), but the counts are
     // guarded state: take the lock so the write is annotation-clean.
-    MutexLock lock(prepared->candidate_counts_mu_);
-    prepared->candidate_counts_.cap = std::min(seed.counts_cap, n);
-    prepared->candidate_counts_.counts = std::move(seed.counts);
+    MutexLock lock(prepared->candidate_mu_);
+    prepared->candidates_.cap = cap;
+    prepared->candidates_.counts = std::move(seed.counts);
+    prepared->candidates_.band_sizes = std::move(band_sizes);
   }
   return std::shared_ptr<const PreparedDataset>(std::move(prepared));
 }
@@ -192,34 +247,57 @@ PreparedDataset::SharedCandidateIndex(size_t k, size_t threads,
                                       bool* cache_hit) const {
   RRR_RETURN_IF_ERROR(ctx.CheckPreempted());
   if (k == 0) return Status::InvalidArgument("k must be >= 1");
-  const size_t kk = std::min(k, data_.size());
-  // Monotone slice: counts capped at cap >= kk classify the kk-band
-  // exactly (a row is in iff its count < kk), so the largest successful
-  // count is reused for every smaller k. A slot that declined WITHOUT
-  // counts is retried (at most once per call) when counts covering kk have
-  // appeared since — a larger-k build paid for them, and the slice path
-  // skips the decline heuristics entirely — instead of serving the stale
-  // negative entry forever. Without covering counts, a k at or above the
-  // decline floor is declined on the spot: the band only grows with k.
+  const size_t n = data_.size();
+  const size_t kk = std::min(k, n);
+  // An uncounted decline is retried (at most once per call) when counts
+  // covering kk have appeared since — a larger-k build paid for them, and
+  // the slice path skips the decline heuristics entirely — instead of
+  // serving the stale decline forever.
   bool retried = false;
   for (;;) {
     std::shared_ptr<const std::vector<uint32_t>> counts;
+    std::shared_ptr<internal::LazyCell<CandidateSlot>> cell;
     {
-      MutexLock lock(candidate_counts_mu_);
-      if (candidate_counts_.cap >= kk) {
-        counts = candidate_counts_.counts;
-      } else if (candidate_counts_.decline_floor != 0 &&
-                 kk >= candidate_counts_.decline_floor) {
+      MutexLock lock(candidate_mu_);
+      CandidateState& state = candidates_;
+      if (state.cap >= kk) {
+        // Counts capped at cap >= kk classify the kk-band exactly (a row
+        // is in iff its count < kk), so its size is known before any build.
+        counts = state.counts;
+        const size_t band = state.band_sizes[kk];
+        const auto narrowest = NarrowestFor(state.chain, kk);
+        if (narrowest != state.chain.end() &&
+            (*narrowest)->band_size() <= kBandSlack * band) {
+          if (cache_hit != nullptr) *cache_hit = true;
+          return *narrowest;
+        }
+        // The build would decline exactly as CandidateIndex::Create does.
+        if (static_cast<double>(band) / static_cast<double>(n) >
+            options_.candidate.max_band_fraction) {
+          if (cache_hit != nullptr) *cache_hit = true;
+          return std::shared_ptr<const CandidateIndex>();
+        }
+      } else if (state.decline_floor != 0 && kk >= state.decline_floor) {
         if (cache_hit != nullptr) *cache_hit = true;
         return std::shared_ptr<const CandidateIndex>();
       }
+      // A ready cell here is an uncounted decline; with counts covering kk
+      // it is stale, so a fresh cell rebuilds through the slice path.
+      std::shared_ptr<internal::LazyCell<CandidateSlot>>& entry =
+          state.builds[kk];
+      if (entry == nullptr ||
+          (counts != nullptr && entry->Peek() != nullptr)) {
+        entry = std::make_shared<internal::LazyCell<CandidateSlot>>();
+      }
+      cell = entry;
     }
     std::shared_ptr<const CandidateSlot> slot;
     RRR_ASSIGN_OR_RETURN(
         slot,
-        candidate_cache_.GetOrCompute(
-            kk, ctx, cache_hit,
-            [this, kk, threads, &counts, &ctx]() -> Result<CandidateSlot> {
+        cell->GetOrCompute(
+            ctx, cache_hit,
+            [this, kk, threads, &counts, &ctx,
+             built = cell.get()]() -> Result<CandidateSlot> {
               RRR_FAILPOINT("core.artifact.candidate_index");
               CandidateIndexOptions build = options_.candidate;
               build.threads = threads != 0 ? threads : build.threads;
@@ -227,36 +305,54 @@ PreparedDataset::SharedCandidateIndex(size_t k, size_t threads,
               RRR_ASSIGN_OR_RETURN(
                   outcome, CandidateIndex::Create(data_, kk, build, ctx,
                                                   counts.get()));
+              std::vector<uint32_t> band_sizes;
               if (outcome.counts != nullptr) {
-                MutexLock lock(candidate_counts_mu_);
-                if (kk > candidate_counts_.cap) {
-                  candidate_counts_.cap = kk;
-                  candidate_counts_.counts = outcome.counts;
+                band_sizes = BandSizes(*outcome.counts, kk);
+              }
+              MutexLock lock(candidate_mu_);
+              CandidateState& state = candidates_;
+              if (outcome.counts != nullptr && kk > state.cap) {
+                state.cap = kk;
+                state.counts = outcome.counts;
+                state.band_sizes = std::move(band_sizes);
+              }
+              if (outcome.predicted_near_full_band &&
+                  (state.decline_floor == 0 || kk < state.decline_floor)) {
+                state.decline_floor = kk;
+              }
+              if (outcome.index != nullptr) {
+                RetainInChain(outcome.index, &state.chain);
+              }
+              // From here on the chain or the counts answer kk; only an
+              // uncounted decline stays behind as a cell.
+              if (outcome.index != nullptr || state.cap >= kk) {
+                const auto it = state.builds.find(kk);
+                if (it != state.builds.end() && it->second.get() == built) {
+                  state.builds.erase(it);
                 }
               }
-              if (outcome.predicted_near_full_band) {
-                MutexLock lock(candidate_counts_mu_);
-                size_t& floor = candidate_counts_.decline_floor;
-                if (floor == 0 || kk < floor) floor = kk;
-              }
-              return CandidateSlot{std::move(outcome.index),
-                                   counts != nullptr};
+              return CandidateSlot{
+                  std::move(outcome.index),
+                  counts != nullptr || outcome.counts != nullptr};
             }));
-    // A counts-less decline is stale once counts covering kk exist (this
-    // read, or appeared concurrently); drop it and rebuild through the
-    // slice path. One retry bounds the loop — the rebuilt slot either
-    // carries counts or was raced in by another counts-less compute, in
-    // which case the next call retries.
-    if (slot->index != nullptr || slot->built_from_counts || retried) {
+    // One retry bounds the loop — the rebuilt slot either carries counts
+    // or was raced in by another uncounted compute, in which case the next
+    // call retries.
+    if (slot->index != nullptr || slot->counted || retried) {
       return slot->index;
     }
-    if (counts == nullptr) {
-      MutexLock lock(candidate_counts_mu_);
-      if (candidate_counts_.cap < kk) return slot->index;
+    {
+      MutexLock lock(candidate_mu_);
+      if (candidates_.cap < kk) return slot->index;
     }
     retried = true;
-    candidate_cache_.Invalidate(kk);
   }
+}
+
+std::vector<std::shared_ptr<const CandidateIndex>>
+PreparedDataset::CandidateChain() const {
+  MutexLock lock(candidate_mu_);
+  return candidates_.chain;
 }
 
 namespace {
@@ -296,17 +392,18 @@ PreparedDataset::ArtifactBytes PreparedDataset::ApproxArtifactBytes() const {
       [&bytes](const KSetKey&, const KSetSampleResult& sample) {
         bytes.ksets += sizeof(KSetKey) + KSetSampleBytes(sample);
       });
-  candidate_cache_.ForEachReady(
-      [&bytes](const size_t&, const CandidateSlot& slot) {
-        bytes.candidates += sizeof(CandidateSlot);
-        if (slot.index != nullptr) bytes.candidates += slot.index->ApproxBytes();
-      });
   bytes.corner_topk = corner_cache_->ApproxBytes();
   {
-    MutexLock lock(candidate_counts_mu_);
-    if (candidate_counts_.counts != nullptr) {
+    MutexLock lock(candidate_mu_);
+    for (const std::shared_ptr<const CandidateIndex>& index :
+         candidates_.chain) {
+      bytes.candidates += index->ApproxBytes();
+    }
+    if (candidates_.counts != nullptr) {
       bytes.candidate_counts =
-          candidate_counts_.counts->capacity() * sizeof(uint32_t);
+          (candidates_.counts->capacity() +
+           candidates_.band_sizes.capacity()) *
+          sizeof(uint32_t);
     }
   }
   return bytes;
@@ -317,11 +414,13 @@ size_t PreparedDataset::EvictSharedArtifacts() const {
   skyline_.Evict();
   convex_maxima_.Evict();
   kset_cache_.Clear();
-  candidate_cache_.Clear();
   corner_cache_->Clear();
+  // In-flight builds keep their cells by shared_ptr and finish unaffected;
+  // the dropped state is destroyed outside the lock.
+  CandidateState dropped;
   {
-    MutexLock lock(candidate_counts_mu_);
-    candidate_counts_ = CandidateCounts{};
+    MutexLock lock(candidate_mu_);
+    std::swap(dropped, candidates_);
   }
   return freed;
 }

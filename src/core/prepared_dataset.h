@@ -163,14 +163,6 @@ class KeyedLazyCache {
     return map_.size();
   }
 
-  /// Drops the cell for `key`, so the next GetOrCompute recomputes it.
-  /// Callers already waiting on the dropped cell finish against it
-  /// unaffected; they just no longer share with future callers.
-  void Invalidate(const K& key) {
-    MutexLock lock(mu_);
-    map_.erase(key);
-  }
-
   /// Drops every cell (the keyed form of LazyCell::Evict); in-flight
   /// callers keep their cells by shared_ptr and finish unaffected.
   void Clear() {
@@ -220,9 +212,11 @@ class KeyedLazyCache {
 ///    call (queries the candidate index serves never build it);
 ///  - lazily-materialized shared caches: the skyline prefilter, the
 ///    convex-maxima LP results (the exact k = 1 representative), K-SETr
-///    samples keyed by (k, sampler options), and the MDRC corner-top-k
+///    samples keyed by (k, sampler options), the MDRC corner-top-k
 ///    memo keyed by corner angles (one ranked list serves every k up to
-///    the one it was computed at).
+///    the one it was computed at), and the chain of k-skyband candidate
+///    indexes (one K-band index serves every k up to K whose band is at
+///    least half as wide).
 ///
 /// All methods are safe to call concurrently; laziness is internal
 /// (compute-once slots with in-flight waiting). A preempted lazy compute
@@ -242,9 +236,11 @@ class PreparedDataset {
     /// Build policy for the shared k-skyband candidate indexes (decline
     /// thresholds and the dominance-count work budget); `threads` inside is
     /// superseded by the per-call thread budget of SharedCandidateIndex.
+    /// The retained indexes need no entry cap: they form a chain whose
+    /// bands more than double from one index to the next (see
+    /// SharedCandidateIndex), so at most about log2(n) of them, holding
+    /// under twice the widest band's bytes, are ever alive.
     CandidateIndexOptions candidate;
-    /// Cap on distinct per-k candidate indexes kept alive.
-    size_t max_candidate_cache_entries = 64;
   };
 
   /// \brief Pre-built artifacts handed to CreateVersioned by the
@@ -322,8 +318,8 @@ class PreparedDataset {
   /// to maintain them incrementally across versions.
   std::pair<size_t, std::shared_ptr<const std::vector<uint32_t>>>
   CandidateCountsSnapshot() const {
-    MutexLock lock(candidate_counts_mu_);
-    return {candidate_counts_.cap, candidate_counts_.counts};
+    MutexLock lock(candidate_mu_);
+    return {candidates_.cap, candidates_.counts};
   }
 
   /// Skyline ids (lazy, memoized; the prefilter for the convex-maxima
@@ -355,27 +351,45 @@ class PreparedDataset {
   /// Shared MDRC corner-top-k memo (pass to SolveMdrc).
   CornerTopKCache* corner_cache() const { return corner_cache_.get(); }
 
-  /// \brief Shared k-skyband candidate index for rank budget `k`
-  /// (core/candidate_index.h), computed once per k and shared by every
-  /// top-k hot path of the engine (MDRC corners, K-SETr draws, the 2D
-  /// sweep, the sampled evaluator).
+  /// \brief Shared k-skyband candidate index serving rank budget `k`
+  /// (core/candidate_index.h), shared by every top-k hot path of the
+  /// engine (MDRC corners, K-SETr draws, the 2D sweep, the sampled
+  /// evaluator).
+  ///
+  /// The band is monotone in k, and a K-band answers every k' <= K
+  /// bit-identically, so the indexes are kept as one chain rather than one
+  /// per k. The served index has k() >= k and the narrowest band among
+  /// the retained indexes, and is used only if that band holds at most
+  /// twice the k-band's rows; |k-band| is read in O(1) from a cumulative
+  /// histogram of the cached dominance counts. Otherwise an index is built
+  /// at exactly k, and every retained index whose band is within a factor
+  /// of two of the new one is dropped. Consecutive retained bands thus
+  /// more than double: at most about log2(n) indexes, under twice the
+  /// widest band in bytes, and every scan covers at most twice the rows of
+  /// the exact k-band. Concurrent callers for one build k share one build.
   ///
   /// Returns a null pointer — not an error — when the build declined
   /// (small dataset, near-full band, or over-budget dominance count; see
   /// CandidateIndexOptions); callers then run unpruned, with bit-identical
-  /// results either way. The underlying dominance counts are monotone in k
-  /// (the (k+1)-band contains the k-band), so the largest computed count
-  /// vector is cached and sliced for every smaller k instead of recounting.
-  /// The same monotonicity runs the other way for declines: once the
-  /// pre-check has predicted a near-full band at some k, every larger k
-  /// that no cached counts cover returns null at once, as a cache hit.
+  /// results either way. The dominance counts are cached at the largest k
+  /// they were computed for and sliced for every smaller k instead of
+  /// recounting; a k whose counted band keeps too large a fraction of the
+  /// rows is declined from the histogram. The same monotonicity runs the
+  /// other way for pre-check declines: once the pre-check has predicted a
+  /// near-full band at some k, every larger k that no cached counts cover
+  /// returns null at once, as a cache hit. A decline made without counts
+  /// is remembered for its k until counts covering that k appear, and is
+  /// then retried through the slice path.
   ///
-  /// `threads` fans the dominance count out on the first call for a given
-  /// k; like every shared artifact, the result is identical for every
-  /// thread count.
+  /// `threads` fans the dominance count out on a build; like every shared
+  /// artifact, the result is identical for every thread count.
   Result<std::shared_ptr<const CandidateIndex>> SharedCandidateIndex(
       size_t k, size_t threads = 0, const ExecContext& ctx = {},
       bool* cache_hit = nullptr) const;
+
+  /// The retained candidate indexes, ascending in k and in band size: a
+  /// snapshot of the chain SharedCandidateIndex serves from.
+  std::vector<std::shared_ptr<const CandidateIndex>> CandidateChain() const;
 
   /// \brief Approximate heap footprint of the dataset and its shared
   /// artifact caches, broken down per artifact family — the size signal
@@ -386,9 +400,9 @@ class PreparedDataset {
     size_t skyline = 0;
     size_t convex_maxima = 0;
     size_t ksets = 0;           // K-SETr sample cache, every key
-    size_t candidates = 0;      // per-k candidate indexes, every key
+    size_t candidates = 0;      // the retained candidate-index chain
     size_t corner_topk = 0;     // MDRC corner memo
-    size_t candidate_counts = 0;
+    size_t candidate_counts = 0;  // cached counts + band-size histogram
 
     /// Bytes EvictSharedArtifacts can free (everything but the dataset).
     size_t evictable() const {
@@ -429,23 +443,24 @@ class PreparedDataset {
     size_t operator()(const KSetKey& key) const;
   };
 
-  /// Cached outcome of one per-k candidate-index build; `index` is null
-  /// for a declined build (negative caching — the decline is as shareable
-  /// as the index). `built_from_counts` records whether the cached counts
-  /// fed the build: a counts-less decline is invalidated and retried once
-  /// a larger-k build has paid for counts that cover it (the slice path
-  /// then skips the pre-check and budget entirely).
+  /// Outcome of one candidate-index build, shared by every caller that
+  /// waited on it. `counted` records whether dominance counts (handed in
+  /// or computed on the way) decided it: only an uncounted decline can
+  /// change once counts covering its k appear.
   struct CandidateSlot {
     std::shared_ptr<const CandidateIndex> index;
-    bool built_from_counts = false;
+    bool counted = false;
   };
 
-  /// Always-outranker counts from the largest successful build, capped at
-  /// `cap` = that build's min(k, n); any k <= cap slices these instead of
-  /// recounting. (Counts capped at a smaller cap cannot be extended —
-  /// saturated rows lose their exact values — so ascending-k query
-  /// patterns recount per k, each recount budget-bounded by the build
-  /// policy; descending patterns slice for free.)
+  /// Everything SharedCandidateIndex keeps, under one mutex.
+  ///
+  /// `counts` are the always-outranker counts from the largest counted
+  /// build, capped at `cap` = that build's min(k, n); any k <= cap slices
+  /// these instead of recounting. (Counts capped at a smaller cap cannot
+  /// be extended — saturated rows lose their exact values — so ascending-k
+  /// query patterns recount per k, each recount budget-bounded by the
+  /// build policy; descending patterns slice for free.) `band_sizes[k]` is
+  /// |k-band| for every k <= cap, the cumulative histogram of `counts`.
   ///
   /// `decline_floor` is the smallest k whose build the sampled pre-check
   /// declined as a near-full band (CandidateIndex::Outcome::
@@ -455,10 +470,21 @@ class PreparedDataset {
   /// count per k). Like the pre-check itself this only steers work: a
   /// declined index never changes a result. Budget and min_dataset_size
   /// declines leave the floor alone; EvictSharedArtifacts resets it.
-  struct CandidateCounts {
+  ///
+  /// `chain` holds the retained indexes, ascending in k and band size,
+  /// each band more than twice the one before. `builds` holds one cell
+  /// per build k that is in flight, and per k whose uncounted build
+  /// declined (a ready cell with a null index); a build leaves `builds`
+  /// as soon as it produced an index or counts covering its k.
+  struct CandidateState {
     size_t cap = 0;
     std::shared_ptr<const std::vector<uint32_t>> counts;
+    std::vector<uint32_t> band_sizes;
     size_t decline_floor = 0;
+    std::vector<std::shared_ptr<const CandidateIndex>> chain;
+    std::unordered_map<size_t,
+                       std::shared_ptr<internal::LazyCell<CandidateSlot>>>
+        builds;
   };
 
   PreparedDataset(data::Dataset dataset, const Options& options,
@@ -485,10 +511,8 @@ class PreparedDataset {
   mutable internal::LazyCell<std::vector<int32_t>> convex_maxima_;
   mutable internal::KeyedLazyCache<KSetKey, KSetSampleResult, KSetKeyHash>
       kset_cache_;
-  mutable internal::KeyedLazyCache<size_t, CandidateSlot> candidate_cache_;
-  mutable Mutex candidate_counts_mu_;
-  mutable CandidateCounts candidate_counts_
-      RRR_GUARDED_BY(candidate_counts_mu_);
+  mutable Mutex candidate_mu_;
+  mutable CandidateState candidates_ RRR_GUARDED_BY(candidate_mu_);
 };
 
 }  // namespace core

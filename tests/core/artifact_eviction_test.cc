@@ -9,6 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <string>
+#include <utility>
 #include <thread>
 #include <vector>
 
@@ -134,6 +137,98 @@ TEST(ArtifactEviction, EvictionClearsTheDeclineFloor) {
   EXPECT_FALSE(hit) << "eviction drops the floor: the next ask recomputes";
   ASSERT_TRUE(prepared.SharedCandidateIndex(400, 1, {}, &hit).ok());
   EXPECT_TRUE(hit) << "the recomputed decline sets the floor again";
+}
+
+/// The retained candidate chain's shape: at most ceil(log2 n) + 1
+/// indexes, ascending in k, each band under half the next, and exactly
+/// their ApproxBytes as the candidates share of the byte accounting (each
+/// index counted once, however many k's it served).
+void ExpectGeometricChain(const PreparedDataset& prepared,
+                          const std::string& where) {
+  const std::vector<std::shared_ptr<const CandidateIndex>> chain =
+      prepared.CandidateChain();
+  const auto bound = static_cast<size_t>(
+      std::ceil(std::log2(static_cast<double>(prepared.size())))) + 1;
+  EXPECT_LE(chain.size(), bound) << where;
+  size_t bytes = 0;
+  for (size_t i = 0; i < chain.size(); ++i) {
+    bytes += chain[i]->ApproxBytes();
+    if (i + 1 < chain.size()) {
+      EXPECT_LT(chain[i]->k(), chain[i + 1]->k()) << where;
+      EXPECT_LT(2 * chain[i]->band_size(), chain[i + 1]->band_size())
+          << where << ": bands " << i << " and " << i + 1;
+    }
+  }
+  EXPECT_EQ(prepared.ApproxArtifactBytes().candidates, bytes) << where;
+}
+
+TEST(ArtifactEviction, CandidateChainStaysGeometricAcrossSchedules) {
+  // The cold_explore SOLVE ladder, the same ladder climbed, and a DUAL
+  // search's zigzag, one after the other over one prepared dataset, with
+  // every band built whatever its profitability.
+  PreparedDataset::Options options;
+  options.candidate.min_dataset_size = 0;
+  options.candidate.max_band_fraction = 1.0;
+  options.candidate.precheck_sample = 0;
+  options.candidate.budget_slack_per_tuple = 0;
+  for (size_t d : {3u, 4u}) {
+    Result<std::shared_ptr<const PreparedDataset>> created =
+        PreparedDataset::Create(data::GenerateUniform(5000, d, 31), options);
+    ASSERT_TRUE(created.ok());
+    const PreparedDataset& prepared = *created.value();
+    const std::vector<size_t> ladder = {500, 400, 350, 300, 260, 230, 200, 180,
+                                        160, 140, 120, 100, 90,  80,  70};
+    const std::vector<std::pair<const char*, std::vector<size_t>>> schedules =
+        {{"ladder", ladder},
+         {"ascending", {ladder.rbegin(), ladder.rend()}},
+         {"zigzag",
+          {10000, 5000, 2500, 1250, 625, 937, 781, 859, 820, 839, 829, 824,
+           822, 821}}};
+    for (const auto& [name, ks] : schedules) {
+      for (size_t k : ks) {
+        Result<std::shared_ptr<const CandidateIndex>> served =
+            prepared.SharedCandidateIndex(k, 1);
+        ASSERT_TRUE(served.ok());
+        ASSERT_NE(*served, nullptr);
+      }
+      ExpectGeometricChain(prepared,
+                           "d=" + std::to_string(d) + " after " + name);
+    }
+  }
+}
+
+TEST(ArtifactEviction, EvictionEmptiesTheChainAndClearsTheFloor) {
+  // Uniform 4-D rows under the default build policy: k = 70 builds an
+  // index, and k = n (a full band) is declined by the pre-check, which
+  // sets the decline floor.
+  Result<std::shared_ptr<const PreparedDataset>> created =
+      PreparedDataset::Create(data::GenerateUniform(5000, 4, 41));
+  ASSERT_TRUE(created.ok());
+  const PreparedDataset& prepared = *created.value();
+  Result<std::shared_ptr<const CandidateIndex>> built =
+      prepared.SharedCandidateIndex(70, 1);
+  ASSERT_TRUE(built.ok());
+  ASSERT_NE(*built, nullptr);
+  bool hit = true;
+  ASSERT_TRUE(prepared.SharedCandidateIndex(5000, 1, {}, &hit).ok());
+  EXPECT_FALSE(hit);
+  ASSERT_TRUE(prepared.SharedCandidateIndex(5000, 1, {}, &hit).ok());
+  EXPECT_TRUE(hit) << "k = 5000 sits at the floor";
+  EXPECT_EQ(prepared.CandidateChain().size(), 1u);
+  EXPECT_EQ(prepared.ApproxArtifactBytes().candidates, (*built)->ApproxBytes());
+
+  EXPECT_GT(prepared.EvictSharedArtifacts(), 0u);
+  EXPECT_TRUE(prepared.CandidateChain().empty());
+  EXPECT_EQ(prepared.ApproxArtifactBytes().candidates, 0u);
+  EXPECT_EQ(prepared.ApproxArtifactBytes().candidate_counts, 0u);
+  ASSERT_TRUE(prepared.SharedCandidateIndex(5000, 1, {}, &hit).ok());
+  EXPECT_FALSE(hit) << "eviction drops the floor: the pre-check runs again";
+  Result<std::shared_ptr<const CandidateIndex>> rebuilt =
+      prepared.SharedCandidateIndex(70, 1, {}, &hit);
+  ASSERT_TRUE(rebuilt.ok());
+  EXPECT_FALSE(hit) << "eviction drops the chain: k = 70 builds again";
+  ASSERT_NE(*rebuilt, nullptr);
+  EXPECT_EQ((*rebuilt)->band_ids(), (*built)->band_ids());
 }
 
 TEST(ArtifactEviction, LazyCellEvictSkipsIdleAndComputing) {

@@ -1,6 +1,8 @@
 #include "core/find_ranges.h"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -127,6 +129,41 @@ TEST(FindRangesTest, UnionOfRangesCoversFunctionSpace) {
       }
     }
     EXPECT_TRUE(covered) << "theta " << theta;
+  }
+}
+
+TEST(FindRangesTest, TransientTieVisitKeepsTheEarlierExit) {
+  // Eighth-quantized rows, each repeated about 8 times: at pi/2 the same-y
+  // groups snap to id order in one equal-angle cascade, and an item whose
+  // range ended earlier can pass through position k inside it. That visit
+  // is bookkeeping, so the range keeps its earlier exit: a range runs on
+  // to pi/2 exactly when the item is in the top-k just below pi/2 (no
+  // exchange of these rows falls in (atan(8), pi/2)) or at pi/2 itself.
+  const data::Dataset pool = data::GenerateUniform(33, 2, 404);
+  std::vector<std::vector<double>> rows;
+  for (size_t i = 0; i < 250; ++i) {
+    const double* r = pool.row(i % pool.size());
+    rows.push_back(
+        {std::round(r[0] * 8.0) / 8.0, std::round(r[1] * 8.0) / 8.0});
+  }
+  const data::Dataset ds = testing::MakeDataset(rows);
+  const double below = geometry::kHalfPi - 1e-6;
+  const topk::LinearFunction near_end({std::cos(below), std::sin(below)});
+  const topk::LinearFunction at_end({0.0, 1.0});
+  for (size_t k : {40u, 80u, 120u, 160u}) {
+    Result<std::vector<ItemRange>> ranges = FindRanges(ds, k);
+    ASSERT_TRUE(ranges.ok());
+    const std::vector<int32_t> top_near =
+        testing::BruteTopKSet(ds, near_end, k);
+    const std::vector<int32_t> top_at = testing::BruteTopKSet(ds, at_end, k);
+    for (size_t id = 0; id < ds.size(); ++id) {
+      const auto item = static_cast<int32_t>(id);
+      const ItemRange& r = (*ranges)[id];
+      EXPECT_EQ(r.in_topk && r.end == geometry::kHalfPi,
+                std::binary_search(top_near.begin(), top_near.end(), item) ||
+                    std::binary_search(top_at.begin(), top_at.end(), item))
+          << "k=" << k << " id " << id;
+    }
   }
 }
 
