@@ -100,6 +100,17 @@ IndexPtr MustServe(const PreparedDataset& p, size_t k, size_t threads,
   return served.value();
 }
 
+/// The chain's served indexes do not depend on the count's thread budget:
+/// the same schedule through a 4-thread prepared dataset must serve the
+/// same band at the same k.
+void ExpectSameAtFourThreads(const PreparedDataset& p4, size_t k,
+                             const CandidateIndex& served,
+                             const std::string& where) {
+  const IndexPtr served4 = MustServe(p4, k, 4);
+  EXPECT_EQ(served4->k(), served.k()) << where;
+  EXPECT_EQ(served4->band_ids(), served.band_ids()) << where;
+}
+
 struct Family {
   std::string name;
   data::Dataset data;
@@ -357,11 +368,13 @@ TEST(CandidateChainTest, KSetGraphMatchesFreshBandAndUnpruned) {
     std::map<size_t, Result<KSetCollection>> unpruned;
     for (const Schedule& schedule : SmallSchedules()) {
       std::shared_ptr<const PreparedDataset> p = PrepareForced(ds);
+      std::shared_ptr<const PreparedDataset> p4 = PrepareForced(ds);
       for (size_t k : schedule.ks) {
         const std::string where = family.name + " " + schedule.name +
                                   " k=" + std::to_string(k);
         const IndexPtr served = MustServe(*p, k, 1);
         ExpectServes(*served, *fresh.At(k), k, where);
+        ExpectSameAtFourThreads(*p4, k, *served, where);
         auto want = unpruned.find(k);
         if (want == unpruned.end()) {
           want = unpruned.emplace(k, EnumerateKSetsGraph(ds, k)).first;
@@ -392,12 +405,14 @@ TEST(CandidateChainTest, FindRangesAnd2dRrrMatchFreshBandAndUnpruned) {
     std::map<size_t, std::vector<int32_t>> reps;
     for (const Schedule& schedule : Schedules()) {
       std::shared_ptr<const PreparedDataset> p = PrepareForced(ds);
+      std::shared_ptr<const PreparedDataset> p4 = PrepareForced(ds);
       for (size_t k : schedule.ks) {
         const size_t kk = std::min(k, ds.size());
         const std::string where = family.name + " " + schedule.name +
                                   " k=" + std::to_string(k);
         const IndexPtr served = MustServe(*p, k, 1);
         ExpectServes(*served, *fresh.At(k), k, where);
+        ExpectSameAtFourThreads(*p4, k, *served, where);
         if (ranges.count(kk) == 0) {
           Result<std::vector<ItemRange>> want =
               FindRanges(ds, kk, {}, &sweep);
