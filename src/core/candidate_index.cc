@@ -25,6 +25,12 @@ bool AlwaysOutranks(const double* j_row, int32_t j, const double* i_row,
 
 namespace {
 
+/// The sampled pre-check counts each sampled row's dominators within the
+/// best kPrecheckPrefixFactor * k rows by coordinate sum, and declines when
+/// more than kPrecheckMaxBandFraction of the sample lands in the band.
+constexpr size_t kPrecheckPrefixFactor = 8;
+constexpr double kPrecheckMaxBandFraction = 0.6;
+
 /// Rows ordered by (coordinate sum desc, id asc). Any always-outranker of a
 /// row precedes it in this order: strict dominance implies a strictly
 /// larger sum, and weak dominance with an equal sum implies an identical
@@ -176,7 +182,7 @@ Result<CandidateIndex::Outcome> CandidateIndex::Create(
   RRR_RETURN_IF_ERROR(dataset.CheckFinite());
   const size_t n = dataset.size();
   const size_t kk = std::min(k, n);
-  const size_t threads = ResolveThreads(ctx.ThreadsOver(options.threads));
+  const size_t threads = ResolveThreads(ctx.threads);
 
   Outcome out;
   std::shared_ptr<const std::vector<uint32_t>> owned_counts;
@@ -206,8 +212,7 @@ Result<CandidateIndex::Outcome> CandidateIndex::Create(
     // instead of after burning the whole budget.
     if (options.precheck_sample > 0) {
       const size_t sample = std::min(options.precheck_sample, n);
-      const size_t prefix =
-          std::min(n, std::max<size_t>(1, options.precheck_prefix_factor) * kk);
+      const size_t prefix = std::min(n, kPrecheckPrefixFactor * kk);
       Rng rng(0x5eedbad5ULL);
       std::vector<size_t> positions(sample);
       for (size_t s = 0; s < sample; ++s) {
@@ -225,7 +230,7 @@ Result<CandidateIndex::Outcome> CandidateIndex::Create(
           std::accumulate(per_sample.begin(), per_sample.end(), size_t{0});
       const double fraction =
           static_cast<double>(predicted_band) / static_cast<double>(sample);
-      if (fraction > options.precheck_max_band_fraction) {
+      if (fraction > kPrecheckMaxBandFraction) {
         out.decline_reason = "pre-check predicted a near-full band";
         out.predicted_near_full_band = true;
         return out;

@@ -18,17 +18,14 @@
 namespace rrr {
 namespace core {
 
-/// Tuning for CandidateIndex::Create. The defaults are conservative: the
-/// index declines to build (Outcome.index == nullptr) whenever the dominance
-/// structure of the data suggests pruning would not pay for itself, so
-/// callers can request an index unconditionally and fall back to full scans
-/// on a null result.
+/// Build policy for CandidateIndex::Create. The defaults are conservative:
+/// the index declines to build (Outcome.index == nullptr) whenever the
+/// dominance structure of the data suggests pruning would not pay for
+/// itself, so callers can request an index unconditionally and fall back to
+/// full scans on a null result. The dominance count takes its worker
+/// threads from the ExecContext; the sampled pre-check's prefix width and
+/// decline threshold are fixed in candidate_index.cc.
 struct CandidateIndexOptions {
-  /// Worker threads for the dominance count: 0 = hardware concurrency,
-  /// 1 = serial. The counts (and therefore the band) are identical for
-  /// every thread count; only the decline decision of the work budget can
-  /// depend on scheduling, and a declined index never changes any result.
-  size_t threads = 0;
   /// Datasets smaller than this decline immediately: a full scan over a few
   /// thousand rows is cheaper than maintaining a second dataset + index.
   size_t min_dataset_size = 4096;
@@ -37,13 +34,11 @@ struct CandidateIndexOptions {
   double max_band_fraction = 0.85;
   /// Sampled pre-check: estimate the band fraction from this many randomly
   /// chosen rows, counting each one's dominators only within the best
-  /// `precheck_prefix_factor * k` rows by coordinate sum. Anti-correlated
-  /// data — where the count itself would cost O(n^2 d) — is declined here
-  /// for O(sample * k * d). 0 disables the pre-check.
+  /// 8 * k rows by coordinate sum, and decline when more than 60% of the
+  /// sample lands in the band. Anti-correlated data — where the count
+  /// itself would cost O(n^2 d) — is declined here for O(sample * k * d).
+  /// 0 disables the pre-check.
   size_t precheck_sample = 256;
-  size_t precheck_prefix_factor = 8;
-  /// Decline when the pre-check estimates a band fraction above this.
-  double precheck_max_band_fraction = 0.6;
   /// Hard budget on the dominance count, measured in scanned candidate
   /// pairs: (k + budget_slack_per_tuple) * n. The count aborts (declines)
   /// past it — the backstop for data that slips through the pre-check but
@@ -53,7 +48,8 @@ struct CandidateIndexOptions {
   /// default keeps speculative build work at roughly one second per 100k
   /// rows. Consumers with heavy query volume (many sampler draws or
   /// evaluator functions per dataset) should raise it — or set 0
-  /// (unlimited) — via PreparedDataset::Options::candidate. 0 = unlimited.
+  /// (unlimited) — in the options handed to PreparedDataset::Create or
+  /// DynamicDataset::Create. 0 = unlimited.
   size_t budget_slack_per_tuple = 2048;
 };
 

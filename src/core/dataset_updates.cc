@@ -17,6 +17,19 @@ namespace {
 /// `appended_from` sentinel in PublishNext: this update is a delete.
 constexpr size_t kNoAppend = std::numeric_limits<size_t>::max();
 
+/// Locality bound for Delete's count maintenance: a delete only has to
+/// recount rows the deleted row saturated (count == cap); past this many
+/// recounts the maintenance abandons the counts and the next query
+/// rebuilds them from scratch (each recount is an O(n d) early-exit scan,
+/// so unbounded recounting could cost more than one rebuild).
+constexpr size_t kMaxDeleteRecounts = 8;
+
+/// Masked-mirror compaction trigger: once deletes have killed more than
+/// this fraction of a mirror's physical lanes, the derived mirror is not
+/// carried forward and the new version pays one dense re-transpose
+/// instead of scanning mostly-dead tiles forever.
+constexpr double kMaxDeadFraction = 0.5;
+
 }  // namespace
 
 Result<std::vector<uint32_t>> ExtendOutrankerCountsForAppend(
@@ -132,16 +145,16 @@ Result<ShrinkCountsOutcome> ShrinkOutrankerCountsForDelete(
 
 DynamicDataset::DynamicDataset(
     std::shared_ptr<const PreparedDataset> initial,
-    DynamicDatasetOptions options)
-    : options_(std::move(options)), current_(std::move(initial)) {}
+    const CandidateIndexOptions& candidate)
+    : candidate_options_(candidate), current_(std::move(initial)) {}
 
 Result<std::shared_ptr<DynamicDataset>> DynamicDataset::Create(
-    data::Dataset initial, DynamicDatasetOptions options) {
+    data::Dataset initial, const CandidateIndexOptions& candidate) {
   std::shared_ptr<const PreparedDataset> prepared;
-  RRR_ASSIGN_OR_RETURN(
-      prepared, PreparedDataset::Create(std::move(initial), options.prepared));
+  RRR_ASSIGN_OR_RETURN(prepared,
+                       PreparedDataset::Create(std::move(initial), candidate));
   return std::shared_ptr<DynamicDataset>(
-      new DynamicDataset(std::move(prepared), std::move(options)));
+      new DynamicDataset(std::move(prepared), candidate));
 }
 
 std::shared_ptr<const PreparedDataset> DynamicDataset::Snapshot() const {
@@ -219,64 +232,59 @@ Result<DatasetVersion> DynamicDataset::PublishNext(
                                base->version().ordinal + 1};
   seed.version = version;
 
-  if (options_.incremental_artifacts) {
-    // Every branch below is cost-only — the new version answers
-    // bit-identically with or without the seed (CreateVersioned builds a
-    // dense mirror when the seed carries none). Counts are only maintained
-    // when some candidate build already paid for them.
-    const data::ColumnBlocks& base_blocks = base->column_blocks();
-    const std::pair<size_t, std::shared_ptr<const std::vector<uint32_t>>>
-        base_counts = base->CandidateCountsSnapshot();
-    if (appended_from != kNoAppend) {
-      data::ColumnBlocks grown_blocks;
+  // Every branch below is cost-only — the new version answers
+  // bit-identically with or without the seed (CreateVersioned builds a
+  // dense mirror when the seed carries none). Counts are only maintained
+  // when some candidate build already paid for them.
+  const data::ColumnBlocks& base_blocks = base->column_blocks();
+  const std::pair<size_t, std::shared_ptr<const std::vector<uint32_t>>>
+      base_counts = base->CandidateCountsSnapshot();
+  if (appended_from != kNoAppend) {
+    data::ColumnBlocks grown_blocks;
+    RRR_ASSIGN_OR_RETURN(
+        grown_blocks,
+        data::ColumnBlocks::BuildAppended(base_blocks, grown, ctx));
+    seed.blocks = std::make_unique<data::ColumnBlocks>(std::move(grown_blocks));
+    if (base_counts.first > 0 && base_counts.second != nullptr) {
+      std::vector<uint32_t> extended;
       RRR_ASSIGN_OR_RETURN(
-          grown_blocks,
-          data::ColumnBlocks::BuildAppended(base_blocks, grown, ctx));
-      seed.blocks =
-          std::make_unique<data::ColumnBlocks>(std::move(grown_blocks));
-      if (base_counts.first > 0 && base_counts.second != nullptr) {
-        std::vector<uint32_t> extended;
-        RRR_ASSIGN_OR_RETURN(
-            extended,
-            ExtendOutrankerCountsForAppend(grown, appended_from,
-                                           base_counts.first,
-                                           *base_counts.second, ctx));
-        seed.counts_cap = base_counts.first;
+          extended,
+          ExtendOutrankerCountsForAppend(grown, appended_from,
+                                         base_counts.first,
+                                         *base_counts.second, ctx));
+      seed.counts_cap = base_counts.first;
+      seed.counts = std::make_shared<const std::vector<uint32_t>>(
+          std::move(extended));
+    }
+  } else {
+    data::ColumnBlocks masked;
+    RRR_ASSIGN_OR_RETURN(masked, base_blocks.WithoutRow(&grown, deleted_id));
+    // Compaction decision point: past the dead-lane threshold the masked
+    // mirror is abandoned and the new version re-transposes densely, instead
+    // of every scan wading through dead tiles.
+    if (masked.dead_fraction() <= kMaxDeadFraction) {
+      seed.blocks = std::make_unique<data::ColumnBlocks>(std::move(masked));
+    }
+    if (base_counts.first > 0 && base_counts.second != nullptr) {
+      ShrinkCountsOutcome shrunk;
+      RRR_ASSIGN_OR_RETURN(
+          shrunk, ShrinkOutrankerCountsForDelete(
+                      base->dataset(), deleted_id, base_counts.first,
+                      *base_counts.second, kMaxDeleteRecounts, ctx));
+      // Locality bound exceeded: drop the counts; the next candidate build
+      // recounts from scratch (full-rebuild fallback).
+      if (shrunk.maintained) {
+        seed.counts_cap = std::min(base_counts.first, new_rows);
         seed.counts = std::make_shared<const std::vector<uint32_t>>(
-            std::move(extended));
-      }
-    } else {
-      data::ColumnBlocks masked;
-      RRR_ASSIGN_OR_RETURN(masked, base_blocks.WithoutRow(&grown, deleted_id));
-      // Compaction decision point: past the dead-lane threshold the masked
-      // mirror is abandoned and the new version re-transposes densely,
-      // instead of every scan wading through dead tiles.
-      if (masked.dead_fraction() <= options_.max_dead_fraction) {
-        seed.blocks = std::make_unique<data::ColumnBlocks>(std::move(masked));
-      }
-      if (base_counts.first > 0 && base_counts.second != nullptr) {
-        ShrinkCountsOutcome shrunk;
-        RRR_ASSIGN_OR_RETURN(
-            shrunk, ShrinkOutrankerCountsForDelete(
-                        base->dataset(), deleted_id, base_counts.first,
-                        *base_counts.second, options_.max_delete_recounts,
-                        ctx));
-        // Locality bound exceeded: drop the counts; the next candidate
-        // build recounts from scratch (full-rebuild fallback).
-        if (shrunk.maintained) {
-          seed.counts_cap = std::min(base_counts.first, new_rows);
-          seed.counts = std::make_shared<const std::vector<uint32_t>>(
-              std::move(shrunk.counts));
-        }
+            std::move(shrunk.counts));
       }
     }
   }
 
   std::shared_ptr<const PreparedDataset> next;
   RRR_ASSIGN_OR_RETURN(
-      next, PreparedDataset::CreateVersioned(std::move(grown),
-                                             options_.prepared,
-                                             std::move(seed)));
+      next, PreparedDataset::CreateVersioned(
+                std::move(grown), candidate_options_, std::move(seed)));
   {
     MutexLock lock(mu_);
     current_ = std::move(next);

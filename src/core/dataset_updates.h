@@ -17,31 +17,6 @@
 namespace rrr {
 namespace core {
 
-/// Tuning for DynamicDataset's incremental artifact maintenance. None of
-/// these affect any query result — only how much derived state a new
-/// version inherits versus rebuilds.
-struct DynamicDatasetOptions {
-  /// Shared-artifact configuration for every version's PreparedDataset.
-  PreparedDataset::Options prepared;
-  /// Maintain derived artifacts (columnar mirror, always-outranker counts)
-  /// incrementally across versions. Off = every version re-transposes its
-  /// mirror densely at publication and rebuilds counts on first query —
-  /// the differential tests run both ways to pin that maintenance is
-  /// invisible.
-  bool incremental_artifacts = true;
-  /// Locality bound for Delete's count maintenance: a delete only has to
-  /// recount rows the deleted row saturated (count == cap); past this many
-  /// recounts the maintenance abandons the counts and the next query
-  /// rebuilds them from scratch (each recount is an O(n d) early-exit
-  /// scan, so unbounded recounting could cost more than one rebuild).
-  size_t max_delete_recounts = 8;
-  /// Masked-mirror compaction trigger: once deletes have killed more than
-  /// this fraction of a mirror's physical lanes, the derived mirror is not
-  /// carried forward and the new version pays one dense re-transpose
-  /// instead of scanning mostly-dead tiles forever.
-  double max_dead_fraction = 0.5;
-};
-
 /// \brief Incremental always-outranker counts for an append: extends
 /// `old_counts` (counts over the first `old_rows` rows of `grown`, capped
 /// at `cap` — the CandidateIndex::CountAlwaysOutrankers contract) to cover
@@ -105,13 +80,18 @@ Result<ShrinkCountsOutcome> ShrinkOutrankerCountsForDelete(
 /// to a from-scratch build over the same rows — the differential suite's
 /// oracle contract).
 ///
-/// Derived artifacts carry forward incrementally (see
-/// DynamicDatasetOptions): the columnar mirror — which every version
-/// owns — via appended tiles / validity masks, and, when the previous
-/// version had them, the k-skyband counts via the
-/// append/delete primitives above. An update preempted via ExecContext
-/// returns Cancelled/DeadlineExceeded with the current version untouched
-/// and no partial artifact published anywhere.
+/// Derived artifacts carry forward incrementally: the columnar mirror —
+/// which every version owns — via appended tiles / validity masks, and,
+/// when the previous version had them, the k-skyband counts via the
+/// append/delete primitives above. Two fixed bounds keep that maintenance
+/// cheaper than a rebuild (dataset_updates.cc): once deletes have killed
+/// more than half of a mirror's physical lanes, the new version
+/// re-transposes densely instead of scanning mostly-dead tiles; and a
+/// delete that would recount more than 8 saturated rows drops the counts,
+/// so the next candidate build recounts from scratch. None of this changes
+/// any query result. An update preempted via ExecContext returns
+/// Cancelled/DeadlineExceeded with the current version untouched and no
+/// partial artifact published anywhere.
 ///
 /// Thread-safety: all methods are safe from any thread; writers serialize
 /// with each other, readers never block writers beyond one mutex-guarded
@@ -120,9 +100,10 @@ class DynamicDataset {
  public:
   /// Validates and prepares the initial rows (see PreparedDataset::Create;
   /// the dataset must be non-empty and stays non-empty forever — Delete
-  /// refuses to remove the last row).
+  /// refuses to remove the last row). `candidate` is the candidate-index
+  /// build policy of every version this dataset publishes.
   static Result<std::shared_ptr<DynamicDataset>> Create(
-      data::Dataset initial, DynamicDatasetOptions options = {});
+      data::Dataset initial, const CandidateIndexOptions& candidate = {});
 
   /// The current version's immutable snapshot (never null). Holders keep
   /// a consistent view — rows, version token, artifact caches — no matter
@@ -157,7 +138,7 @@ class DynamicDataset {
 
  private:
   DynamicDataset(std::shared_ptr<const PreparedDataset> initial,
-                 DynamicDatasetOptions options);
+                 const CandidateIndexOptions& candidate);
 
   /// Builds + publishes the next version from `cells` (the full new
   /// row-major buffer). `appended_from` == the old row count for appends
@@ -168,7 +149,7 @@ class DynamicDataset {
       std::vector<double> cells, size_t new_rows, size_t appended_from,
       size_t deleted_id, const ExecContext& ctx) RRR_REQUIRES(writer_mu_);
 
-  DynamicDatasetOptions options_;
+  const CandidateIndexOptions candidate_options_;
   /// Serializes update builders: held across the whole build-and-publish
   /// of a new version, guarding no data itself (the build works on local
   /// state; publication takes mu_ at the very end). RRR_REQUIRES on

@@ -14,6 +14,13 @@
 namespace rrr {
 namespace core {
 
+namespace {
+
+/// Cap on memoized results; past it, queries compute without caching.
+constexpr size_t kMaxResultCacheEntries = 1024;
+
+}  // namespace
+
 std::string Diagnostics::ToString() const {
   std::string out = StrFormat("%s %.6fs cached=%s reuse=%s",
                               AlgorithmName(algorithm_used).c_str(), seconds,
@@ -61,13 +68,13 @@ RrrEngine::RrrEngine(std::shared_ptr<const PreparedDataset> prepared,
     : prepared_(std::move(prepared)),
       snapshot_source_(std::move(source)),
       options_(std::move(options)),
-      result_cache_(options_.max_result_cache_entries) {}
+      result_cache_(kMaxResultCacheEntries) {}
 
 Result<std::shared_ptr<RrrEngine>> RrrEngine::Create(data::Dataset dataset,
                                                      EngineOptions options) {
   std::shared_ptr<const PreparedDataset> prepared;
   RRR_ASSIGN_OR_RETURN(
-      prepared, PreparedDataset::Create(std::move(dataset), options.prepared));
+      prepared, PreparedDataset::Create(std::move(dataset)));
   return Create(std::move(prepared), std::move(options));
 }
 
@@ -306,7 +313,7 @@ Result<QueryResult> RrrEngine::Solve(size_t k,
   Algorithm algorithm;
   RRR_ASSIGN_OR_RETURN(algorithm, ResolveAlgorithm(*snapshot, k, query));
 
-  if (!options_.memoize_results || !query.use_cache) {
+  if (!query.use_cache) {
     return RunAlgorithm(*snapshot, k, algorithm, query.exec);
   }
 

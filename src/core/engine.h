@@ -121,7 +121,11 @@ struct QueryOptions {
   /// engine was configured with.
   ExecContext exec;
   /// Consult and populate the engine's per-(version, k, algorithm) result
-  /// memo. Off forces a full recompute (still reusing prepared artifacts).
+  /// memo — the only memo switch. Off forces a full recompute (still
+  /// reusing prepared artifacts). The memo is sound because every solver is
+  /// deterministic given its options (fixed at engine construction) and
+  /// the version names the exact row-state; it holds at most 1024 results,
+  /// past which queries compute without caching.
   bool use_cache = true;
   /// Pin this query to a specific dataset snapshot instead of the engine's
   /// current one — the consistent-read primitive of the dynamic layer: a
@@ -141,12 +145,6 @@ struct EngineOptions {
   /// `threads` field is the engine-wide default budget, overridable per
   /// query via QueryOptions::exec.threads).
   RrrOptions defaults;
-  /// Memoize Solve results per (dataset version, k, resolved algorithm).
-  /// Sound because every solver is deterministic given its options (fixed
-  /// at engine construction) and the version names the exact row-state.
-  bool memoize_results = true;
-  /// Cap on memoized results; past it, queries compute without caching.
-  size_t max_result_cache_entries = 1024;
   /// Evaluate's sampled-estimator protocol for d > 2 data.
   size_t eval_num_functions = 10000;
   uint64_t eval_seed = 23;
@@ -155,8 +153,6 @@ struct EngineOptions {
   /// failing build is not hammered on every query. 0 retries
   /// immediately.
   uint64_t artifact_failure_cooldown_ms = 250;
-  /// Shared-artifact caps for the underlying PreparedDataset.
-  PreparedDataset::Options prepared;
 };
 
 /// \brief Prepare-once / query-many facade over the paper's algorithms.
@@ -190,7 +186,9 @@ class RrrEngine {
   using SnapshotFn =
       std::function<std::shared_ptr<const PreparedDataset>()>;
 
-  /// Validates and prepares `dataset` (see PreparedDataset::Create).
+  /// Validates and prepares `dataset` under the default candidate-index
+  /// policy (see PreparedDataset::Create); to set the policy, prepare the
+  /// dataset first and wrap it with the overload below.
   static Result<std::shared_ptr<RrrEngine>> Create(
       data::Dataset dataset, EngineOptions options = {});
 

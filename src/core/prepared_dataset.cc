@@ -23,6 +23,12 @@ size_t PreparedDataset::KSetKeyHash::operator()(const KSetKey& key) const {
 
 namespace {
 
+/// Cap on the shared MDRC corner-top-k memo, counted in stored corners
+/// (same meaning as MdrcOptions::max_cache_entries).
+constexpr size_t kMaxCornerCacheEntries = size_t{1} << 21;
+/// Cap on distinct (k, sampler-options) K-SETr samples kept alive.
+constexpr size_t kMaxKSetCacheEntries = 64;
+
 /// A served band may hold up to this many times the k-band's rows, and
 /// consecutive retained bands differ by more than this factor.
 constexpr size_t kBandSlack = 2;
@@ -74,23 +80,24 @@ void RetainInChain(std::shared_ptr<const CandidateIndex> index,
 
 }  // namespace
 
-PreparedDataset::PreparedDataset(data::Dataset dataset, const Options& options,
+PreparedDataset::PreparedDataset(data::Dataset dataset,
+                                 const CandidateIndexOptions& candidate,
                                  DatasetVersion version)
     : data_(std::move(dataset)),
-      options_(options),
+      candidate_options_(candidate),
       version_(version),
-      kset_cache_(options.max_kset_cache_entries) {
-  corner_cache_ = std::make_unique<CornerTopKCache>(
-      data_, options.max_corner_cache_entries);
+      kset_cache_(kMaxKSetCacheEntries) {
+  corner_cache_ =
+      std::make_unique<CornerTopKCache>(data_, kMaxCornerCacheEntries);
 }
 
 Result<std::shared_ptr<const PreparedDataset>> PreparedDataset::Create(
-    data::Dataset dataset, const Options& options) {
+    data::Dataset dataset, const CandidateIndexOptions& candidate) {
   if (dataset.empty()) return Status::InvalidArgument("empty dataset");
   RRR_RETURN_IF_ERROR(dataset.CheckFinite());
   // Not make_shared: the constructor is private.
   std::shared_ptr<PreparedDataset> prepared(
-      new PreparedDataset(std::move(dataset), options, NewDatasetOrigin()));
+      new PreparedDataset(std::move(dataset), candidate, NewDatasetOrigin()));
   // The mirror must point at the rows' final home inside the object.
   RRR_RETURN_IF_ERROR(prepared->BuildColumnBlocks());
   return std::shared_ptr<const PreparedDataset>(std::move(prepared));
@@ -105,7 +112,8 @@ Status PreparedDataset::BuildColumnBlocks() {
 }
 
 Result<std::shared_ptr<const PreparedDataset>> PreparedDataset::CreateVersioned(
-    data::Dataset dataset, const Options& options, UpdateSeed seed) {
+    data::Dataset dataset, const CandidateIndexOptions& candidate,
+    UpdateSeed seed) {
   if (dataset.empty()) return Status::InvalidArgument("empty dataset");
   RRR_RETURN_IF_ERROR(dataset.CheckFinite());
   if (!seed.version.assigned()) {
@@ -118,7 +126,7 @@ Result<std::shared_ptr<const PreparedDataset>> PreparedDataset::CreateVersioned(
         "CreateVersioned: seed counts shape mismatches the dataset");
   }
   std::shared_ptr<PreparedDataset> prepared(
-      new PreparedDataset(std::move(dataset), options, seed.version));
+      new PreparedDataset(std::move(dataset), candidate, seed.version));
   if (seed.blocks == nullptr) {
     RRR_RETURN_IF_ERROR(prepared->BuildColumnBlocks());
   } else {
@@ -273,7 +281,7 @@ PreparedDataset::SharedCandidateIndex(size_t k, size_t threads,
         }
         // The build would decline exactly as CandidateIndex::Create does.
         if (static_cast<double>(band) / static_cast<double>(n) >
-            options_.candidate.max_band_fraction) {
+            candidate_options_.max_band_fraction) {
           if (cache_hit != nullptr) *cache_hit = true;
           return std::shared_ptr<const CandidateIndex>();
         }
@@ -299,12 +307,14 @@ PreparedDataset::SharedCandidateIndex(size_t k, size_t threads,
             [this, kk, threads, &counts, &ctx,
              built = cell.get()]() -> Result<CandidateSlot> {
               RRR_FAILPOINT("core.artifact.candidate_index");
-              CandidateIndexOptions build = options_.candidate;
-              build.threads = threads != 0 ? threads : build.threads;
+              // The count's thread budget: the context's, else `threads`.
+              ExecContext build_ctx = ctx;
+              build_ctx.threads = ctx.ThreadsOver(threads);
               CandidateIndex::Outcome outcome;
               RRR_ASSIGN_OR_RETURN(
-                  outcome, CandidateIndex::Create(data_, kk, build, ctx,
-                                                  counts.get()));
+                  outcome,
+                  CandidateIndex::Create(data_, kk, candidate_options_,
+                                         build_ctx, counts.get()));
               std::vector<uint32_t> band_sizes;
               if (outcome.counts != nullptr) {
                 band_sizes = BandSizes(*outcome.counts, kk);

@@ -227,22 +227,6 @@ class KeyedLazyCache {
 /// immutable from the caller's perspective thereafter.
 class PreparedDataset {
  public:
-  struct Options {
-    /// Cap on the shared MDRC corner-top-k memo, counted in stored corners
-    /// (same meaning as MdrcOptions::max_cache_entries).
-    size_t max_corner_cache_entries = size_t{1} << 21;
-    /// Cap on distinct (k, sampler-options) K-SETr samples kept alive.
-    size_t max_kset_cache_entries = 64;
-    /// Build policy for the shared k-skyband candidate indexes (decline
-    /// thresholds and the dominance-count work budget); `threads` inside is
-    /// superseded by the per-call thread budget of SharedCandidateIndex.
-    /// The retained indexes need no entry cap: they form a chain whose
-    /// bands more than double from one index to the next (see
-    /// SharedCandidateIndex), so at most about log2(n) of them, holding
-    /// under twice the widest band's bytes, are ever alive.
-    CandidateIndexOptions candidate;
-  };
-
   /// \brief Pre-built artifacts handed to CreateVersioned by the
   /// dynamic-update layer (core/dataset_updates.h), so a new version starts
   /// life with incrementally-maintained state instead of recomputing from
@@ -268,19 +252,18 @@ class PreparedDataset {
   /// O(n d) transpose; every other artifact is lazy (sweep() sorts on its
   /// first call). Data is assumed already normalized higher-is-better,
   /// as every solver requires. The prepared dataset gets a fresh version
-  /// token (its own lineage, ordinal 0).
+  /// token (its own lineage, ordinal 0). `candidate` is the build policy of
+  /// the shared k-skyband candidate indexes (decline thresholds and the
+  /// dominance-count work budget; see SharedCandidateIndex).
   static Result<std::shared_ptr<const PreparedDataset>> Create(
-      data::Dataset dataset, const Options& options);
-  static Result<std::shared_ptr<const PreparedDataset>> Create(
-      data::Dataset dataset) {
-    return Create(std::move(dataset), Options());
-  }
+      data::Dataset dataset, const CandidateIndexOptions& candidate = {});
 
   /// Create for the dynamic-update layer: the new version carries the
   /// token and the incrementally-maintained artifacts in `seed`. Identical
   /// to Create in every query-visible way.
   static Result<std::shared_ptr<const PreparedDataset>> CreateVersioned(
-      data::Dataset dataset, const Options& options, UpdateSeed seed);
+      data::Dataset dataset, const CandidateIndexOptions& candidate,
+      UpdateSeed seed);
 
   const data::Dataset& dataset() const { return data_; }
   size_t size() const { return data_.size(); }
@@ -342,13 +325,15 @@ class PreparedDataset {
   /// query-strategy flags don't, by the sampler's invariance contracts).
   /// `candidates` (may be null) is handed to SampleKSets on a cache miss;
   /// it does not key the cache because the sampled collection is
-  /// bit-identical with and without it.
+  /// bit-identical with and without it. At most 64 keys are cached; past
+  /// that, samples compute uncached.
   Result<std::shared_ptr<const KSetSampleResult>> SharedKSets(
       size_t k, const KSetSamplerOptions& options, const ExecContext& ctx = {},
       bool* cache_hit = nullptr,
       const CandidateIndex* candidates = nullptr) const;
 
-  /// Shared MDRC corner-top-k memo (pass to SolveMdrc).
+  /// Shared MDRC corner-top-k memo (pass to SolveMdrc), capped at 2^21
+  /// stored corners.
   CornerTopKCache* corner_cache() const { return corner_cache_.get(); }
 
   /// \brief Shared k-skyband candidate index serving rank budget `k`
@@ -369,20 +354,21 @@ class PreparedDataset {
   /// the exact k-band. Concurrent callers for one build k share one build.
   ///
   /// Returns a null pointer — not an error — when the build declined
-  /// (small dataset, near-full band, or over-budget dominance count; see
-  /// CandidateIndexOptions); callers then run unpruned, with bit-identical
-  /// results either way. The dominance counts are cached at the largest k
-  /// they were computed for and sliced for every smaller k instead of
-  /// recounting; a k whose counted band keeps too large a fraction of the
-  /// rows is declined from the histogram. The same monotonicity runs the
-  /// other way for pre-check declines: once the pre-check has predicted a
-  /// near-full band at some k, every larger k that no cached counts cover
-  /// returns null at once, as a cache hit. A decline made without counts
-  /// is remembered for its k until counts covering that k appear, and is
-  /// then retried through the slice path.
+  /// (small dataset, near-full band, or over-budget dominance count, by the
+  /// CandidateIndexOptions handed to Create); callers then run unpruned,
+  /// with bit-identical results either way. The dominance counts are
+  /// cached at the largest k they were computed for and sliced for every
+  /// smaller k instead of recounting; a k whose counted band keeps too
+  /// large a fraction of the rows is declined from the histogram. The same
+  /// monotonicity runs the other way for pre-check declines: once the
+  /// pre-check has predicted a near-full band at some k, every larger k
+  /// that no cached counts cover returns null at once, as a cache hit. A
+  /// decline made without counts is remembered for its k until counts
+  /// covering that k appear, and is then retried through the slice path.
   ///
-  /// `threads` fans the dominance count out on a build; like every shared
-  /// artifact, the result is identical for every thread count.
+  /// `threads` fans the dominance count out on a build (`ctx.threads`,
+  /// when set, overrides it); like every shared artifact, the result is
+  /// identical for every thread count.
   Result<std::shared_ptr<const CandidateIndex>> SharedCandidateIndex(
       size_t k, size_t threads = 0, const ExecContext& ctx = {},
       bool* cache_hit = nullptr) const;
@@ -487,14 +473,15 @@ class PreparedDataset {
         builds;
   };
 
-  PreparedDataset(data::Dataset dataset, const Options& options,
+  PreparedDataset(data::Dataset dataset,
+                  const CandidateIndexOptions& candidate,
                   DatasetVersion version);
 
   /// Fills column_blocks_ with a dense mirror of data_ (construction only).
   Status BuildColumnBlocks();
 
   data::Dataset data_;
-  Options options_;
+  CandidateIndexOptions candidate_options_;
   DatasetVersion version_;
   // d == 2 only, filled under sweep_once_ by the first sweep() call.
   mutable std::once_flag sweep_once_;

@@ -50,13 +50,13 @@ Result<RrrResult> FindRankRegretRepresentative(const data::Dataset& dataset,
   // an RrrEngine to amortize the preparation and share the caches.
   EngineOptions engine_options;
   engine_options.defaults = options;
-  engine_options.memoize_results = false;  // single query, nothing to reuse
   std::shared_ptr<RrrEngine> engine;
   RRR_ASSIGN_OR_RETURN(
       engine, RrrEngine::Create(data::Dataset(dataset),
                                 std::move(engine_options)));
   QueryOptions query;
   query.exec = ctx;
+  query.use_cache = false;  // single query, nothing to reuse
   QueryResult result;
   RRR_ASSIGN_OR_RETURN(result, engine->Solve(options.k, query));
   RrrResult out;

@@ -166,11 +166,11 @@ TEST(ArtifactEviction, CandidateChainStaysGeometricAcrossSchedules) {
   // The cold_explore SOLVE ladder, the same ladder climbed, and a DUAL
   // search's zigzag, one after the other over one prepared dataset, with
   // every band built whatever its profitability.
-  PreparedDataset::Options options;
-  options.candidate.min_dataset_size = 0;
-  options.candidate.max_band_fraction = 1.0;
-  options.candidate.precheck_sample = 0;
-  options.candidate.budget_slack_per_tuple = 0;
+  CandidateIndexOptions options;
+  options.min_dataset_size = 0;
+  options.max_band_fraction = 1.0;
+  options.precheck_sample = 0;
+  options.budget_slack_per_tuple = 0;
   for (size_t d : {3u, 4u}) {
     Result<std::shared_ptr<const PreparedDataset>> created =
         PreparedDataset::Create(data::GenerateUniform(5000, d, 31), options);
@@ -284,15 +284,16 @@ TEST(ArtifactEviction, RebuildFaultDegradesThenHealsBitIdentically) {
   FailpointRegistry::Instance().DisarmAll();
   std::shared_ptr<const PreparedDataset> prepared = Prepare(350, 3, 9);
   EngineOptions options;
-  options.memoize_results = false;  // every Solve recomputes: no memo veil
   options.artifact_failure_cooldown_ms = 0;  // re-attempt immediately
   Result<std::shared_ptr<RrrEngine>> created =
       RrrEngine::Create(prepared, options);
   ASSERT_TRUE(created.ok());
   std::shared_ptr<RrrEngine> engine = created.value();
+  QueryOptions recompute;
+  recompute.use_cache = false;  // every Solve recomputes: no memo veil
 
   // Warm build, then the oracle answer and a non-empty evictable pool.
-  Result<QueryResult> warm = engine->Solve(3);
+  Result<QueryResult> warm = engine->Solve(3, recompute);
   ASSERT_TRUE(warm.ok());
   const std::vector<int32_t> oracle = warm.value().representative;
   EXPECT_FALSE(warm.value().diagnostics.degraded);
@@ -304,7 +305,7 @@ TEST(ArtifactEviction, RebuildFaultDegradesThenHealsBitIdentically) {
   ASSERT_TRUE(FailpointRegistry::Instance()
                   .Arm("core.artifact.candidate_index", "once")
                   .ok());
-  Result<QueryResult> degraded = engine->Solve(3);
+  Result<QueryResult> degraded = engine->Solve(3, recompute);
   ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
   EXPECT_TRUE(degraded.value().diagnostics.degraded);
   EXPECT_EQ(degraded.value().diagnostics.skyband_size, 0u);  // no index ran
@@ -312,7 +313,7 @@ TEST(ArtifactEviction, RebuildFaultDegradesThenHealsBitIdentically) {
 
   // Fault cleared (once self-disarmed): the next query rebuilds the
   // artifact bit-identically and sheds the degraded flag.
-  Result<QueryResult> healed = engine->Solve(3);
+  Result<QueryResult> healed = engine->Solve(3, recompute);
   ASSERT_TRUE(healed.ok());
   EXPECT_FALSE(healed.value().diagnostics.degraded);
   EXPECT_EQ(healed.value().representative, oracle);
@@ -324,23 +325,24 @@ TEST(ArtifactEviction, CooldownSkipsRebuildAttemptsUntilItExpires) {
   FailpointRegistry::Instance().DisarmAll();
   std::shared_ptr<const PreparedDataset> prepared = Prepare(200, 3, 13);
   EngineOptions options;
-  options.memoize_results = false;
   options.artifact_failure_cooldown_ms = 60'000;  // effectively forever
   Result<std::shared_ptr<RrrEngine>> created =
       RrrEngine::Create(prepared, options);
   ASSERT_TRUE(created.ok());
   std::shared_ptr<RrrEngine> engine = created.value();
+  QueryOptions recompute;
+  recompute.use_cache = false;  // every Solve recomputes: no memo veil
 
   ASSERT_TRUE(FailpointRegistry::Instance()
                   .Arm("core.artifact.candidate_index", "once")
                   .ok());
-  Result<QueryResult> first = engine->Solve(3);
+  Result<QueryResult> first = engine->Solve(3, recompute);
   ASSERT_TRUE(first.ok());
   EXPECT_TRUE(first.value().diagnostics.degraded);
 
   // The fault is gone (once drained) but the cooldown is live: the next
   // query must not even attempt the build — degraded again, same answer.
-  Result<QueryResult> second = engine->Solve(3);
+  Result<QueryResult> second = engine->Solve(3, recompute);
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(second.value().diagnostics.degraded);
   EXPECT_EQ(second.value().representative, first.value().representative);

@@ -75,10 +75,8 @@ CandidateIndexOptions ForceBuild() {
 
 std::shared_ptr<const PreparedDataset> PrepareForced(
     const data::Dataset& ds) {
-  PreparedDataset::Options options;
-  options.candidate = ForceBuild();
   Result<std::shared_ptr<const PreparedDataset>> prepared =
-      PreparedDataset::Create(ds, options);
+      PreparedDataset::Create(ds, ForceBuild());
   RRR_CHECK(prepared.ok()) << prepared.status().ToString();
   return prepared.value();
 }
@@ -455,9 +453,8 @@ TEST(CandidateChainTest, EngineLadderMatchesColdSolves) {
   // skyband_size is the served band, between the k-band and twice it.
   const data::Dataset ds = data::GenerateUniform(1500, 3, 503);
   FreshBands fresh(ds);
-  EngineOptions options;
-  options.prepared.candidate = ForceBuild();
-  Result<std::shared_ptr<RrrEngine>> engine = RrrEngine::Create(ds, options);
+  Result<std::shared_ptr<RrrEngine>> engine =
+      RrrEngine::Create(PrepareForced(ds));
   ASSERT_TRUE(engine.ok());
   QueryOptions query;
   query.algorithm = Algorithm::kMdRc;

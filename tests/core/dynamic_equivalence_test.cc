@@ -10,11 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "core/candidate_index.h"
 #include "core/engine.h"
 #include "core/prepared_dataset.h"
 #include "data/column_blocks.h"
@@ -36,18 +38,15 @@ constexpr size_t kSeedsPerFamily = 48;  // x5 families = 240 schedules
 constexpr size_t kOpsPerSchedule = 12;
 
 /// Per-seed configuration axes, derived from the seed bits so the matrix
-/// covers serial/parallel, warm/cold artifact maintenance, forced/declined
-/// candidate indexes, and both dimensionalities without a nested loop
-/// blowing up the runtime.
+/// covers serial/parallel, forced/declined candidate indexes, and both
+/// dimensionalities without a nested loop blowing up the runtime.
 struct Axes {
   size_t threads = 1;
-  bool incremental = true;
   bool force_candidate = false;
   size_t dims = 2;
 
   std::string ToString() const {
     return "axes{threads=" + std::to_string(threads) +
-           " incremental=" + std::string(incremental ? "on" : "off") +
            " candidate=" + std::string(force_candidate ? "forced" : "auto") +
            " d=" + std::to_string(dims) + "}";
   }
@@ -56,10 +55,24 @@ struct Axes {
 Axes AxesFromSeed(uint64_t seed) {
   Axes axes;
   axes.threads = (seed & 1) != 0 ? 4 : 1;
-  axes.incremental = ((seed >> 1) & 1) != 0;
-  axes.force_candidate = ((seed >> 2) & 1) != 0;
-  axes.dims = ((seed >> 3) & 1) != 0 ? 3 : 2;
+  axes.force_candidate = ((seed >> 1) & 1) != 0;
+  axes.dims = ((seed >> 2) & 1) != 0 ? 3 : 2;
   return axes;
+}
+
+/// Builds every candidate index whatever its profitability, so the small
+/// schedule datasets run the pruned paths and maintain dominance counts.
+CandidateIndexOptions ForceBuild() {
+  CandidateIndexOptions options;
+  options.min_dataset_size = 0;
+  options.max_band_fraction = 1.0;
+  options.precheck_sample = 0;
+  options.budget_slack_per_tuple = 0;
+  return options;
+}
+
+CandidateIndexOptions CandidateOptions(const Axes& axes) {
+  return axes.force_candidate ? ForceBuild() : CandidateIndexOptions();
 }
 
 EngineOptions MakeEngineOptions(const Axes& axes) {
@@ -69,13 +82,6 @@ EngineOptions MakeEngineOptions(const Axes& axes) {
   // the failure (shared by both engines) is cheap.
   options.defaults.mdrc.max_nodes = 16384;
   options.eval_num_functions = 200;
-  if (axes.force_candidate) {
-    CandidateIndexOptions& candidate = options.prepared.candidate;
-    candidate.min_dataset_size = 0;
-    candidate.max_band_fraction = 1.0;
-    candidate.precheck_sample = 0;
-    candidate.budget_slack_per_tuple = 0;
-  }
   return options;
 }
 
@@ -86,14 +92,17 @@ struct Pin {
   std::vector<int32_t> expected;
 };
 
-void RunSchedule(const DynamicSchedule& schedule, const Axes& axes) {
+/// Replays `schedule` against a from-scratch oracle. `counts_dropped`
+/// (may be null) is incremented for every delete that published a version
+/// without the dominance counts its base carried — the drop-counts-and-
+/// recount fallback of the delete maintenance.
+void RunSchedule(const DynamicSchedule& schedule, const Axes& axes,
+                 size_t* counts_dropped = nullptr) {
   const EngineOptions engine_options = MakeEngineOptions(axes);
-  DynamicDatasetOptions dyn_options;
-  dyn_options.prepared = engine_options.prepared;
-  dyn_options.incremental_artifacts = axes.incremental;
+  const CandidateIndexOptions candidate = CandidateOptions(axes);
 
   Result<std::shared_ptr<DynamicDataset>> dyn =
-      DynamicDataset::Create(MakeDataset(schedule.initial_rows), dyn_options);
+      DynamicDataset::Create(MakeDataset(schedule.initial_rows), candidate);
   ASSERT_TRUE(dyn.ok()) << dyn.status().ToString();
   Result<std::shared_ptr<RrrEngine>> dyn_engine =
       NewDynamicEngine(*dyn, engine_options);
@@ -105,8 +114,11 @@ void RunSchedule(const DynamicSchedule& schedule, const Axes& axes) {
   std::shared_ptr<RrrEngine> oracle;
   const auto oracle_engine = [&]() -> RrrEngine& {
     if (oracle == nullptr) {
+      Result<std::shared_ptr<const PreparedDataset>> prepared =
+          PreparedDataset::Create(MakeDataset(rows), candidate);
+      RRR_CHECK(prepared.ok()) << prepared.status().ToString();
       Result<std::shared_ptr<RrrEngine>> fresh =
-          RrrEngine::Create(MakeDataset(rows), engine_options);
+          RrrEngine::Create(std::move(prepared).value(), engine_options);
       RRR_CHECK(fresh.ok()) << fresh.status().ToString();
       oracle = *fresh;
     }
@@ -154,9 +166,15 @@ void RunSchedule(const DynamicSchedule& schedule, const Axes& axes) {
         break;
       }
       case DynamicOp::Kind::kDelete: {
+        const bool base_counted =
+            (*dyn)->Snapshot()->CandidateCountsSnapshot().first > 0;
         Result<DatasetVersion> v = (*dyn)->Delete(op.delete_id);
         ASSERT_TRUE(v.ok()) << v.status().ToString();
         EXPECT_EQ(v->ordinal, ++expected_ordinal);
+        if (counts_dropped != nullptr && base_counted &&
+            (*dyn)->Snapshot()->CandidateCountsSnapshot().first == 0) {
+          ++*counts_dropped;
+        }
         rows.erase(rows.begin() + op.delete_id);
         oracle.reset();
         check_cells();
@@ -250,6 +268,73 @@ TEST_P(DynamicEquivalenceTest, RandomSchedulesMatchOracleRebuilds) {
     RunSchedule(schedule, axes);
     if (::testing::Test::HasFatalFailure()) return;
   }
+}
+
+/// The dominating-deletes family: the family's rows sorted by coordinate
+/// sum, best first, then deletes of row 0 between queries. Each delete
+/// removes the current best row, which always-outranks most of the rest;
+/// with forced candidate builds many of those rows hold saturated counts,
+/// so the delete maintenance passes its recount bound, drops the counts,
+/// and the next query recounts from scratch — the fallback the random
+/// schedules rarely reach.
+DynamicSchedule DominatingDeletesSchedule(DataFamily family, uint64_t seed,
+                                          size_t dims) {
+  DynamicSchedule schedule;
+  schedule.seed = seed;
+  schedule.family = family;
+  schedule.dims = dims;
+  std::vector<std::vector<double>> rows =
+      rrr::testing::FamilyRows(family, 64, dims, 5000 + seed);
+  const auto sum = [](const std::vector<double>& row) {
+    double s = 0.0;
+    for (double v : row) s += v;
+    return s;
+  };
+  std::stable_sort(rows.begin(), rows.end(),
+                   [&](const std::vector<double>& a,
+                       const std::vector<double>& b) {
+                     return sum(a) > sum(b);
+                   });
+  schedule.initial_rows = std::move(rows);
+  const auto push = [&](DynamicOp::Kind kind, size_t k) {
+    DynamicOp op;
+    op.kind = kind;
+    op.k = k;
+    op.max_size = k;
+    op.delete_id = 0;
+    schedule.ops.push_back(std::move(op));
+  };
+  push(DynamicOp::Kind::kSolve, 3);
+  push(DynamicOp::Kind::kDelete, 0);
+  push(DynamicOp::Kind::kSolve, 3);
+  push(DynamicOp::Kind::kEvaluate, 0);
+  push(DynamicOp::Kind::kDelete, 0);
+  push(DynamicOp::Kind::kSnapshotPin, 2);
+  push(DynamicOp::Kind::kDelete, 0);
+  push(DynamicOp::Kind::kSolveDual, 4);
+  push(DynamicOp::Kind::kDelete, 0);
+  push(DynamicOp::Kind::kSolve, 2);
+  push(DynamicOp::Kind::kDelete, 0);
+  push(DynamicOp::Kind::kSolve, 3);
+  return schedule;
+}
+
+TEST_P(DynamicEquivalenceTest, DominatingDeletesDropCountsAndMatchOracle) {
+  const DataFamily family = GetParam();
+  size_t counts_dropped = 0;
+  for (uint64_t seed = 0; seed < 4; ++seed) {
+    Axes axes;
+    axes.threads = (seed & 1) != 0 ? 4 : 1;
+    axes.force_candidate = true;
+    axes.dims = (seed & 2) != 0 ? 3 : 2;
+    const DynamicSchedule schedule =
+        DominatingDeletesSchedule(family, seed, axes.dims);
+    SCOPED_TRACE(schedule.ToString() + " " + axes.ToString());
+    RunSchedule(schedule, axes, &counts_dropped);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_GT(counts_dropped, 0u)
+      << "no delete passed the recount bound and dropped the counts";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -368,19 +453,18 @@ void ExpectMirrorMatchesFreshBuild(const PreparedDataset& version,
   }
 }
 
-std::shared_ptr<DynamicDataset> MakeDynamic(DynamicDatasetOptions options) {
+std::shared_ptr<DynamicDataset> MakeDynamic() {
   // 150 rows: two full tiles plus a partial one, so appends fill the
   // partial tile and deletes hit full and partial tiles alike.
   Result<std::shared_ptr<DynamicDataset>> dyn = DynamicDataset::Create(
       MakeDataset(rrr::testing::FamilyRows(DataFamily::kDuplicateHeavy, 150,
-                                           3, 19)),
-      std::move(options));
+                                           3, 19)));
   RRR_CHECK(dyn.ok()) << dyn.status().ToString();
   return std::move(dyn).value();
 }
 
 TEST(DynamicMirrorTest, AppendPublishesAnAppendedMirror) {
-  std::shared_ptr<DynamicDataset> dyn = MakeDynamic({});
+  std::shared_ptr<DynamicDataset> dyn = MakeDynamic();
   ExpectMirrorMatchesFreshBuild(*dyn->Snapshot(), "initial");
   ASSERT_TRUE(dyn->Insert({0.3, 0.9, 0.1}).ok());
   ExpectMirrorMatchesFreshBuild(*dyn->Snapshot(), "insert");
@@ -392,37 +476,70 @@ TEST(DynamicMirrorTest, AppendPublishesAnAppendedMirror) {
 }
 
 TEST(DynamicMirrorTest, DeleteMasksThenCompactsPastMaxDeadFraction) {
-  DynamicDatasetOptions options;
-  // Two dead lanes of ~150 stay under it; a third crosses it.
-  options.max_dead_fraction = 0.015;
-  std::shared_ptr<DynamicDataset> dyn = MakeDynamic(options);
+  // The compaction threshold is fixed: a mirror with more than half of its
+  // physical lanes dead is not carried forward (kMaxDeadFraction in
+  // core/dataset_updates.cc).
+  constexpr double kMaxDeadFraction = 0.5;
+  std::shared_ptr<DynamicDataset> dyn = MakeDynamic();
   // Below the threshold the carried-forward mirror masks the dead lane.
   ASSERT_TRUE(dyn->Delete(70).ok());
   EXPECT_TRUE(dyn->Snapshot()->column_blocks().masked());
   ExpectMirrorMatchesFreshBuild(*dyn->Snapshot(), "delete 1");
-  ASSERT_TRUE(dyn->Delete(0).ok());
-  EXPECT_TRUE(dyn->Snapshot()->column_blocks().masked());
-  ExpectMirrorMatchesFreshBuild(*dyn->Snapshot(), "delete 2");
-  // An append on a masked base keeps the mask.
+  // An append on a masked base keeps the mask: 151 physical lanes, 1 dead.
   ASSERT_TRUE(dyn->Insert({0.5, 0.5, 0.5}).ok());
   EXPECT_TRUE(dyn->Snapshot()->column_blocks().masked());
   ExpectMirrorMatchesFreshBuild(*dyn->Snapshot(), "append on masked");
-  // Past the threshold the version re-transposes densely.
-  ASSERT_TRUE(dyn->Delete(140).ok());
-  EXPECT_FALSE(dyn->Snapshot()->column_blocks().masked());
-  ExpectMirrorMatchesFreshBuild(*dyn->Snapshot(), "compacted");
+  // Delete rows until the dead lanes pass the threshold: the mirror stays
+  // masked up to 75 dead lanes of 151 and re-transposes densely at 76.
+  const size_t physical = 151;
+  size_t dead = 1;
+  while (true) {
+    ASSERT_TRUE(dyn->Delete(static_cast<int32_t>(dead % 7)).ok());
+    ++dead;
+    const std::string tag = "dead " + std::to_string(dead);
+    const bool past = static_cast<double>(dead) /
+                          static_cast<double>(physical) >
+                      kMaxDeadFraction;
+    EXPECT_EQ(dyn->Snapshot()->column_blocks().masked(), !past) << tag;
+    ExpectMirrorMatchesFreshBuild(*dyn->Snapshot(), tag);
+    if (past) break;
+  }
+  EXPECT_EQ(dead, 76u);
+  // The compacted mirror is dense, so the next delete masks it afresh.
+  ASSERT_TRUE(dyn->Delete(0).ok());
+  EXPECT_TRUE(dyn->Snapshot()->column_blocks().masked());
+  EXPECT_EQ(dyn->Snapshot()->column_blocks().dead_fraction(), 1.0 / 75.0);
+  ExpectMirrorMatchesFreshBuild(*dyn->Snapshot(), "delete after compaction");
 }
 
-TEST(DynamicMirrorTest, NonIncrementalVersionsBuildDenseMirrors) {
-  DynamicDatasetOptions options;
-  options.incremental_artifacts = false;
-  std::shared_ptr<DynamicDataset> dyn = MakeDynamic(options);
-  ASSERT_TRUE(dyn->Insert({0.3, 0.9, 0.1}).ok());
-  EXPECT_FALSE(dyn->Snapshot()->column_blocks().masked());
-  ExpectMirrorMatchesFreshBuild(*dyn->Snapshot(), "insert");
-  ASSERT_TRUE(dyn->Delete(70).ok());
-  EXPECT_FALSE(dyn->Snapshot()->column_blocks().masked());
-  ExpectMirrorMatchesFreshBuild(*dyn->Snapshot(), "delete");
+/// The candidate-index options given to DynamicDataset::Create govern every
+/// version it publishes, not just the first: on a dataset far below the
+/// default min_dataset_size, forced options build an index on an appended
+/// and on a deleted version, and the defaults decline on both. Results are
+/// bit-identical either way, so only the served index shows the options.
+TEST(DynamicOptionsTest, CandidateOptionsReachEveryPublishedVersion) {
+  const std::vector<std::vector<double>> rows =
+      rrr::testing::FamilyRows(DataFamily::kCorrelated, 60, 3, 29);
+  for (const bool force : {false, true}) {
+    SCOPED_TRACE(force ? "forced" : "default");
+    Result<std::shared_ptr<DynamicDataset>> dyn = DynamicDataset::Create(
+        MakeDataset(rows), force ? ForceBuild() : CandidateIndexOptions());
+    ASSERT_TRUE(dyn.ok()) << dyn.status().ToString();
+    const auto expect_served = [&](const std::string& tag) {
+      const std::shared_ptr<const PreparedDataset> snap = (*dyn)->Snapshot();
+      Result<std::shared_ptr<const CandidateIndex>> index =
+          snap->SharedCandidateIndex(3);
+      ASSERT_TRUE(index.ok()) << tag << ": " << index.status().ToString();
+      EXPECT_EQ(*index != nullptr, force) << tag;
+      // Drop the counts this ask paid for, so the next version cannot
+      // serve an index from carried-forward counts alone.
+      snap->EvictSharedArtifacts();
+    };
+    ASSERT_TRUE((*dyn)->Insert({0.9, 0.8, 0.7}).ok());
+    expect_served("append");
+    ASSERT_TRUE((*dyn)->Delete(0).ok());
+    expect_served("delete");
+  }
 }
 
 }  // namespace

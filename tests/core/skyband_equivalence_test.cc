@@ -403,12 +403,14 @@ TEST(SkybandEquivalenceTest, KSetGraphIndexedMatchesLegacy) {
 TEST(SkybandEquivalenceTest, EngineWithForcedPruningMatchesDirectSolvers) {
   for (const Family& family : Families(300, 3, 61)) {
     EngineOptions options;
-    options.prepared.candidate = ForceBuild();
     // Degenerate families (constant column) exhaust any MDRC node budget;
     // keep it small so the exhausted path is compared too, cheaply.
     options.defaults.mdrc.max_nodes = 20000;
+    Result<std::shared_ptr<const PreparedDataset>> prepared =
+        PreparedDataset::Create(family.data, ForceBuild());
+    ASSERT_TRUE(prepared.ok()) << family.name;
     Result<std::shared_ptr<RrrEngine>> engine =
-        RrrEngine::Create(family.data, options);
+        RrrEngine::Create(std::move(prepared).value(), options);
     ASSERT_TRUE(engine.ok()) << family.name;
     const size_t k = 12;
 
@@ -469,11 +471,8 @@ TEST(SkybandEquivalenceTest, DeclinedBuildRetriesOnceCountsAppear) {
   // data, while k = n always fits (its budget is ~n^2). After the large-k
   // build pays for the counts, the small k's stale cost-decline must be
   // retried through the slice path instead of being cached forever.
-  PreparedDataset::Options options;
-  options.candidate.min_dataset_size = 0;
-  options.candidate.max_band_fraction = 1.0;
-  options.candidate.precheck_sample = 0;
-  options.candidate.budget_slack_per_tuple = 1;
+  CandidateIndexOptions options = ForceBuild();
+  options.budget_slack_per_tuple = 1;
   const size_t n = 1200;
   Result<std::shared_ptr<const PreparedDataset>> prepared =
       PreparedDataset::Create(data::GenerateAnticorrelated(n, 3, 3), options);
@@ -558,10 +557,10 @@ TEST(SkybandEquivalenceTest, NearFullDeclineAnswersEveryLargerK) {
 }
 
 TEST(SkybandEquivalenceTest, BudgetDeclinesSetNoFloor) {
-  PreparedDataset::Options options;
-  options.candidate.min_dataset_size = 0;
-  options.candidate.precheck_sample = 0;
-  options.candidate.budget_slack_per_tuple = 1;
+  CandidateIndexOptions options;
+  options.min_dataset_size = 0;
+  options.precheck_sample = 0;
+  options.budget_slack_per_tuple = 1;
   Result<std::shared_ptr<const PreparedDataset>> prepared =
       PreparedDataset::Create(data::GenerateAnticorrelated(1200, 3, 3),
                               options);
@@ -580,11 +579,9 @@ TEST(SkybandEquivalenceTest, BudgetDeclinesSetNoFloor) {
 }
 
 TEST(SkybandEquivalenceTest, PreparedDatasetSharesAndSlicesTheIndex) {
-  PreparedDataset::Options options;
-  options.candidate = ForceBuild();
   Result<std::shared_ptr<const PreparedDataset>> prepared =
       PreparedDataset::Create(data::GenerateCorrelated(400, 3, 71, 0.8),
-                              options);
+                              ForceBuild());
   ASSERT_TRUE(prepared.ok());
   bool hit = false;
   Result<std::shared_ptr<const CandidateIndex>> big =
