@@ -71,10 +71,6 @@ CandidateIndexOptions ForceBuild() {
   return options;
 }
 
-CandidateIndexOptions CandidateOptions(const Axes& axes) {
-  return axes.force_candidate ? ForceBuild() : CandidateIndexOptions();
-}
-
 EngineOptions MakeEngineOptions(const Axes& axes) {
   EngineOptions options;
   options.defaults.threads = axes.threads;
@@ -99,7 +95,8 @@ struct Pin {
 void RunSchedule(const DynamicSchedule& schedule, const Axes& axes,
                  size_t* counts_dropped = nullptr) {
   const EngineOptions engine_options = MakeEngineOptions(axes);
-  const CandidateIndexOptions candidate = CandidateOptions(axes);
+  const CandidateIndexOptions candidate =
+      axes.force_candidate ? ForceBuild() : CandidateIndexOptions();
 
   Result<std::shared_ptr<DynamicDataset>> dyn =
       DynamicDataset::Create(MakeDataset(schedule.initial_rows), candidate);
@@ -301,7 +298,6 @@ DynamicSchedule DominatingDeletesSchedule(DataFamily family, uint64_t seed,
     op.kind = kind;
     op.k = k;
     op.max_size = k;
-    op.delete_id = 0;
     schedule.ops.push_back(std::move(op));
   };
   push(DynamicOp::Kind::kSolve, 3);
