@@ -92,8 +92,8 @@ void BM_TopKScanSweep(benchmark::State& state) {
         for (int32_t id : neighbour_tops[i]) {
           floor = std::min(floor, f.Score(ds.row(static_cast<size_t>(id))));
         }
-        benchmark::DoNotOptimize(rrr::topk::TopKScan(
-            blocks, f, k, rrr::topk::BlockSkip::kAuto, nullptr, floor));
+        benchmark::DoNotOptimize(
+            rrr::topk::TopKScan(blocks, f, k, nullptr, floor));
         break;
       }
       default:

@@ -310,8 +310,8 @@ std::vector<int32_t> CandidateIndex::TopK(const topk::LinearFunction& f,
                      << " requested from a band built for k = " << k_;
   // Band-local ids ascend with original ids, so the kernel's (score desc,
   // id asc) order over the band is the full dataset's order.
-  std::vector<int32_t> ids = topk::TopKScan(
-      *band_blocks_, f, k, topk::BlockSkip::kAuto, nullptr, floor);
+  std::vector<int32_t> ids =
+      topk::TopKScan(*band_blocks_, f, k, nullptr, floor);
   for (int32_t& id : ids) id = band_ids_[static_cast<size_t>(id)];
   return ids;
 }
@@ -324,8 +324,8 @@ std::vector<int32_t> CandidateIndex::TopKSet(
                      << " requested from a band built for k = " << k_;
   // Band ids ascend with original ids, so the sorted band-local set maps to
   // a sorted original-id set.
-  std::vector<int32_t> ids = topk::TopKSetScan(
-      *band_blocks_, f, k, topk::BlockSkip::kAuto, nullptr, floor);
+  std::vector<int32_t> ids =
+      topk::TopKSetScan(*band_blocks_, f, k, nullptr, floor);
   for (int32_t& id : ids) id = band_ids_[static_cast<size_t>(id)];
   return ids;
 }
@@ -360,8 +360,7 @@ int64_t CandidateIndex::MinRankOfSubset(
     int64_t rank = 1;
     bool certified = true;
     const size_t num_blocks = mirror.num_blocks();
-    const bool use_skip =
-        topk::BlockSkipResolved(topk::BlockSkip::kAuto, mirror);
+    const bool use_skip = mirror.has_block_bounds();
     topk::ScanStats scan_stats;
     for (size_t blk = 0; blk < num_blocks && certified; ++blk) {
       // A block upper-bounded strictly below best_score holds no outranker

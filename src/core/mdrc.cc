@@ -273,8 +273,7 @@ const std::vector<int32_t>& CornerTopKCache::Ranked(
     entry.ranked =
         candidates != nullptr && candidates->k() >= entry.k
             ? candidates->TopK(f, entry.k, seed)
-            : topk::TopKScan(blocks, f, entry.k, topk::BlockSkip::kAuto,
-                             nullptr, seed);
+            : topk::TopKScan(blocks, f, entry.k, nullptr, seed);
     entry.ready.store(true, std::memory_order_release);
   });
   return entry.ranked;

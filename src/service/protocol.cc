@@ -2,7 +2,9 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 namespace rrr {
@@ -173,6 +175,11 @@ Result<std::vector<int32_t>> ParseIdList(const std::string& text) {
     const long parsed = std::strtol(part.c_str(), &end, 10);
     if (part.empty() || errno != 0 || end == nullptr || *end != '\0') {
       return Status::InvalidArgument("bad id list element: " + part);
+    }
+    // Row ids are int32: a wider value must not wrap onto some other row.
+    if (parsed < std::numeric_limits<int32_t>::min() ||
+        parsed > std::numeric_limits<int32_t>::max()) {
+      return Status::InvalidArgument("id list element out of range: " + part);
     }
     ids.push_back(static_cast<int32_t>(parsed));
   }

@@ -71,7 +71,8 @@ std::string_view WireCode(StatusCode code);
 /// Comma-joined decimal ids ("" for an empty list).
 std::string JoinIds(const std::vector<int32_t>& ids);
 
-/// Inverse of JoinIds; InvalidArgument on any non-integer element.
+/// Inverse of JoinIds; InvalidArgument on any non-integer element or one
+/// outside the int32 range.
 Result<std::vector<int32_t>> ParseIdList(const std::string& text);
 
 /// Comma-separated doubles ("1.5,2,3e-1"); InvalidArgument on junk.

@@ -7,6 +7,8 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cstdint>
+#include <limits>
 #include <thread>
 #include <utility>
 
@@ -160,11 +162,7 @@ Status RrrServer::Start() {
 }
 
 void RrrServer::Stop() {
-  if (stopping_.exchange(true, std::memory_order_acq_rel)) {
-    // Second caller still joins below only from the destructor path;
-    // threads are joined exactly once because join() happens before the
-    // first Stop returns.
-  }
+  stopping_.store(true, std::memory_order_release);
   const int lfd = listen_fd_.exchange(-1, std::memory_order_acq_rel);
   if (lfd >= 0) {
     ::shutdown(lfd, SHUT_RDWR);
@@ -186,12 +184,14 @@ void RrrServer::Stop() {
     MutexLock lock(conn_mu_);
     for (int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
   }
-  std::vector<std::thread> threads;
+  std::unordered_map<std::thread::id, std::thread> threads;
   {
     MutexLock lock(conn_mu_);
     threads.swap(conn_threads_);
   }
-  for (std::thread& thread : threads) thread.join();
+  for (auto& [id, thread] : threads) thread.join();
+  MutexLock lock(conn_mu_);
+  finished_conns_.clear();
 }
 
 void RrrServer::AcceptLoop() {
@@ -222,9 +222,25 @@ void RrrServer::AcceptLoop() {
       MutexLock lock(stats_mu_);
       ++counters_.connections_total;
     }
-    MutexLock lock(conn_mu_);
-    conn_fds_.insert(cfd);
-    conn_threads_.emplace_back([this, cfd] { ServeConnection(cfd); });
+    // Register the connection and take the threads of the ones that have
+    // finished since the last accept; they are joined outside the lock.
+    std::vector<std::thread> finished;
+    {
+      MutexLock lock(conn_mu_);
+      for (const std::thread::id id : finished_conns_) {
+        finished.push_back(std::move(conn_threads_.extract(id).mapped()));
+      }
+      finished_conns_.clear();
+      conn_fds_.insert(cfd);
+      std::thread thread([this, cfd] {
+        ServeConnection(cfd);
+        MutexLock done(conn_mu_);
+        finished_conns_.push_back(std::this_thread::get_id());
+      });
+      const std::thread::id id = thread.get_id();
+      conn_threads_.emplace(id, std::move(thread));
+    }
+    for (std::thread& thread : finished) thread.join();
   }
 }
 
@@ -337,6 +353,12 @@ std::string RrrServer::HandleControl(const Command& cmd, bool* quit) {
     if (!name.ok()) return FormatErr(name.status());
     Result<uint64_t> id = cmd.GetUint("id");
     if (!id.ok()) return FormatErr(id.status());
+    // Row ids are int32: a wider value must not wrap onto some other row.
+    if (id.value() >
+        static_cast<uint64_t>(std::numeric_limits<int32_t>::max())) {
+      return FormatErr(Status::InvalidArgument(
+          "DELETE: id out of range: " + std::to_string(id.value())));
+    }
     Result<DatasetVersion> version = registry_.Delete(
         name.value(), static_cast<int32_t>(id.value()));
     if (!version.ok()) return FormatErr(version.status());

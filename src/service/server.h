@@ -6,6 +6,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -158,7 +159,12 @@ class RrrServer {
 
   Mutex conn_mu_;
   std::unordered_set<int> conn_fds_ RRR_GUARDED_BY(conn_mu_);
-  std::vector<std::thread> conn_threads_ RRR_GUARDED_BY(conn_mu_);
+  std::unordered_map<std::thread::id, std::thread> conn_threads_
+      RRR_GUARDED_BY(conn_mu_);
+  // Connection threads that have served their last line and only await a
+  // join; the accept loop joins them, so finished connections do not keep
+  // their stacks mapped until Stop.
+  std::vector<std::thread::id> finished_conns_ RRR_GUARDED_BY(conn_mu_);
   std::thread accept_thread_;  // started by Start, joined by Stop
 };
 

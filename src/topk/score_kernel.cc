@@ -111,7 +111,7 @@ ScoreKernelPath PathFromEnv() {
 /// The installed path: -1 until first use (lazily resolved from the env so
 /// tests can set RRR_SCORE_KERNEL before any kernel call), else a
 /// ScoreKernelPath. A settable atomic rather than a read-once static so
-/// ForceScoreKernelPath can sweep paths inside one bench process; relaxed
+/// ForceScoreKernelPath can sweep paths inside one test process; relaxed
 /// is enough because every path is bit-identical — readers racing a flip
 /// get one of two correct kernels.
 std::atomic<int> g_active_path{-1};
@@ -125,30 +125,6 @@ void CommitScanStats(const ScanStats& local, ScanStats* out) {
   g_blocks_scanned.fetch_add(local.blocks_scanned, std::memory_order_relaxed);
   g_blocks_skipped.fetch_add(local.blocks_skipped, std::memory_order_relaxed);
   if (out != nullptr) *out = local;
-}
-
-/// Whether RRR_BLOCK_SKIP leaves pruning enabled (read once).
-bool SkipEnabledByEnv() {
-  static const bool enabled = [] {
-    const char* v = std::getenv("RRR_BLOCK_SKIP");
-    return v == nullptr ||
-           (std::strcmp(v, "off") != 0 && std::strcmp(v, "0") != 0);
-  }();
-  return enabled;
-}
-
-/// Resolves the per-call skip policy against the mirror and the env.
-bool ResolveSkip(BlockSkip skip, const data::ColumnBlocks& blocks) {
-  if (!blocks.has_block_bounds()) return false;
-  switch (skip) {
-    case BlockSkip::kForceOn:
-      return true;
-    case BlockSkip::kForceOff:
-      return false;
-    case BlockSkip::kAuto:
-      break;
-  }
-  return SkipEnabledByEnv();
 }
 
 }  // namespace
@@ -190,10 +166,6 @@ ScanStats ScanCountersSnapshot() {
 
 void AccumulateScanCounters(const ScanStats& stats) {
   CommitScanStats(stats, nullptr);
-}
-
-bool BlockSkipResolved(BlockSkip skip, const data::ColumnBlocks& blocks) {
-  return ResolveSkip(skip, blocks);
 }
 
 double BlockUpperBound(const double* weights, size_t d, const double* maxs,
@@ -360,12 +332,12 @@ struct Before {
 /// block 0, as the pair (floor, INT32_MAX): every row scoring >= floor
 /// passes it, so the k best still all survive when floor <= the k-th best.
 void SelectTopK(const data::ColumnBlocks& blocks, const LinearFunction& f,
-                size_t k, BlockSkip skip, ScanStats* stats,
-                std::optional<double> floor, std::vector<Scored>* best) {
+                size_t k, ScanStats* stats, std::optional<double> floor,
+                std::vector<Scored>* best) {
   RRR_DCHECK(f.dims() == blocks.dims()) << "TopKScan: dimension mismatch";
   const double* w = f.weights().data();
   const size_t d = blocks.dims();
-  const bool use_skip = ResolveSkip(skip, blocks);
+  const bool use_skip = blocks.has_block_bounds();
   const bool masked = blocks.masked();
   const size_t flush_at = k + std::max(k, kBlockRows);
   ScanStats local;
@@ -426,15 +398,14 @@ void SelectTopK(const data::ColumnBlocks& blocks, const LinearFunction& f,
 
 std::vector<int32_t> TopKScan(const data::ColumnBlocks& blocks,
                               const LinearFunction& f, size_t k,
-                              BlockSkip skip, ScanStats* stats,
-                              std::optional<double> floor) {
+                              ScanStats* stats, std::optional<double> floor) {
   k = std::min(k, blocks.rows());
   if (k == 0) {
     if (stats != nullptr) *stats = ScanStats{};
     return {};
   }
   std::vector<Scored> best;
-  SelectTopK(blocks, f, k, skip, stats, floor, &best);
+  SelectTopK(blocks, f, k, stats, floor, &best);
   std::sort(best.begin(), best.end(), Before{});
   std::vector<int32_t> out(k);
   for (size_t i = 0; i < k; ++i) out[i] = best[i].id;
@@ -443,7 +414,7 @@ std::vector<int32_t> TopKScan(const data::ColumnBlocks& blocks,
 
 std::vector<int32_t> TopKSetScan(const data::ColumnBlocks& blocks,
                                  const LinearFunction& f, size_t k,
-                                 BlockSkip skip, ScanStats* stats,
+                                 ScanStats* stats,
                                  std::optional<double> floor) {
   k = std::min(k, blocks.rows());
   if (k == 0) {
@@ -451,7 +422,7 @@ std::vector<int32_t> TopKSetScan(const data::ColumnBlocks& blocks,
     return {};
   }
   std::vector<Scored> best;
-  SelectTopK(blocks, f, k, skip, stats, floor, &best);
+  SelectTopK(blocks, f, k, stats, floor, &best);
   std::vector<int32_t> out(k);
   for (size_t i = 0; i < k; ++i) out[i] = best[i].id;
   std::sort(out.begin(), out.end());
@@ -459,12 +430,12 @@ std::vector<int32_t> TopKSetScan(const data::ColumnBlocks& blocks,
 }
 
 double MaxScore(const data::ColumnBlocks& blocks, const LinearFunction& f,
-                BlockSkip skip, ScanStats* stats) {
+                ScanStats* stats) {
   RRR_DCHECK(f.dims() == blocks.dims()) << "MaxScore: dimension mismatch";
   RRR_CHECK(blocks.rows() > 0) << "MaxScore: empty mirror";
   const double* w = f.weights().data();
   const size_t d = blocks.dims();
-  const bool use_skip = ResolveSkip(skip, blocks);
+  const bool use_skip = blocks.has_block_bounds();
   ScanStats local;
   double buf[kBlockRows];
   // Padding lanes score 0.0 and all-negative data would let them win, so
@@ -503,12 +474,12 @@ double MaxScore(const data::ColumnBlocks& blocks, const LinearFunction& f,
 
 int64_t CountOutranking(const data::ColumnBlocks& blocks,
                         const LinearFunction& f, double score, int32_t id,
-                        BlockSkip skip, ScanStats* stats) {
+                        ScanStats* stats) {
   RRR_DCHECK(f.dims() == blocks.dims())
       << "CountOutranking: dimension mismatch";
   const double* w = f.weights().data();
   const size_t d = blocks.dims();
-  const bool use_skip = ResolveSkip(skip, blocks);
+  const bool use_skip = blocks.has_block_bounds();
   ScanStats local;
   double buf[kBlockRows];
   int64_t count = 0;

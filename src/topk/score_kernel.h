@@ -40,9 +40,9 @@ namespace topk {
 /// monotonicity makes it a bit-level bound) loses *strictly* to the current
 /// threshold cannot contribute and is skipped unscored. Ties always scan —
 /// a tying row can still win by smaller id under the library tie order — so
-/// skip-on results are bit-identical to skip-off (pinned by
-/// tests/topk/block_skip_test.cc). RRR_BLOCK_SKIP=off disables skipping
-/// process-wide; the BlockSkip parameter overrides per call (bench/tests).
+/// the scans return exactly what the brute-force row loops return (pinned by
+/// tests/topk/block_skip_test.cc). Every non-empty mirror carries bounds, so
+/// pruning is always on; there is no switch.
 ///
 /// \par Score floors
 /// TopKScan/TopKSetScan optionally take a score floor: a caller-proven lower
@@ -69,21 +69,14 @@ ScoreKernelPath ActiveScoreKernelPath();
 /// "avx2").
 const char* ScoreKernelPathName(ScoreKernelPath path);
 
-/// \brief Re-pins the dispatched path at runtime (bench/test hook for
-/// sweeping paths inside one process; production code should rely on the
-/// env override instead).
+/// \brief Re-pins the dispatched path at runtime (test hook for sweeping
+/// paths inside one process; production code should rely on the env
+/// override instead).
 ///
 /// A request the host can't honor clamps to scalar with a warning.
 /// Returns the path actually installed. Every path is bit-identical, so
 /// flipping mid-process never changes results — only throughput.
 ScoreKernelPath ForceScoreKernelPath(ScoreKernelPath path);
-
-/// Per-call override for block-max pruning in the scanning entry points.
-enum class BlockSkip {
-  kAuto,      ///< skip when bounds exist, unless RRR_BLOCK_SKIP=off
-  kForceOn,   ///< skip when bounds exist, ignoring the env kill switch
-  kForceOff,  ///< scan every block (the in-run baseline for benches)
-};
 
 /// Per-call scan accounting from the skipping entry points. Only the
 /// threshold-driven scans (TopKScan/MaxScore/CountOutranking and the
@@ -103,11 +96,6 @@ ScanStats ScanCountersSnapshot();
 /// band walk, which fuses scoring with its own certify logic) into the
 /// process-wide counters.
 void AccumulateScanCounters(const ScanStats& stats);
-
-/// Resolves the skip policy exactly as the entry points do: bounds must
-/// exist, kAuto honors RRR_BLOCK_SKIP. For scan loops that live outside
-/// this file but follow the same skip rule.
-bool BlockSkipResolved(BlockSkip skip, const data::ColumnBlocks& blocks);
 
 /// \brief Upper bound on any lane score of a block with column maxima
 /// `maxs` and minima `mins`: sum_j w[j] * (w[j] >= 0 ? maxs[j] : mins[j]),
@@ -154,12 +142,12 @@ void ScoreAll(const LinearFunction& f, const data::ColumnBlocks& blocks,
 /// it fills, nth_element keeps the k best and tightens the threshold. No
 /// O(n) score materialization and no O(n) index sort. Once a threshold
 /// exists, blocks whose upper bound loses strictly to it are skipped (see
-/// BlockSkip); `stats` (optional) receives this call's scan/skip counts.
+/// "Block-max pruning"); `stats` (optional) receives this call's scan/skip
+/// counts.
 /// `floor` (optional) is a proven lower bound on the k-th best score that
 /// seeds the threshold (see "Score floors" above).
 std::vector<int32_t> TopKScan(const data::ColumnBlocks& blocks,
                               const LinearFunction& f, size_t k,
-                              BlockSkip skip = BlockSkip::kAuto,
                               ScanStats* stats = nullptr,
                               std::optional<double> floor = std::nullopt);
 
@@ -167,8 +155,7 @@ std::vector<int32_t> TopKScan(const data::ColumnBlocks& blocks,
 /// ascending (the k-set form), without the best-first sort.
 std::vector<int32_t> TopKSetScan(const data::ColumnBlocks& blocks,
                                  const LinearFunction& f, size_t k,
-                                 BlockSkip skip = BlockSkip::kAuto,
-                                 ScanStats* stats = nullptr,
+                                    ScanStats* stats = nullptr,
                                  std::optional<double> floor = std::nullopt);
 
 /// Maximum score over all mirrored rows (== max_i f.Score(row i); the
@@ -177,7 +164,6 @@ std::vector<int32_t> TopKSetScan(const data::ColumnBlocks& blocks,
 /// legacy row loops on unvalidated data); all-NaN input yields -infinity.
 /// Blocks upper-bounded strictly below the running max are skipped.
 double MaxScore(const data::ColumnBlocks& blocks, const LinearFunction& f,
-                BlockSkip skip = BlockSkip::kAuto,
                 ScanStats* stats = nullptr);
 
 /// \brief Rows outranking reference (score, id) under the library tie
@@ -190,7 +176,6 @@ double MaxScore(const data::ColumnBlocks& blocks, const LinearFunction& f,
 /// only when s == score, which a strict loss excludes) and are skipped.
 int64_t CountOutranking(const data::ColumnBlocks& blocks,
                         const LinearFunction& f, double score, int32_t id,
-                        BlockSkip skip = BlockSkip::kAuto,
                         ScanStats* stats = nullptr);
 
 }  // namespace topk

@@ -90,10 +90,9 @@ TEST(EngineSolveTest, MatchesLegacyFacadeOnEveryAlgorithm) {
 }
 
 // Acceptance (a): a second identical Solve(k) on one engine returns a
-// bit-identical representative and hits the memo. The >= 10x wall-clock
-// claim at n = 50k is recorded by bench_engine_reuse in
-// BENCH_engine_reuse.json; here we pin the mechanism plus a conservative
-// timing bound at test scale.
+// bit-identical representative and hits the memo. Here we pin the
+// mechanism plus a conservative timing bound at test scale; rrrbench's
+// warm_audit workload measures the memo end to end.
 TEST(EngineSolveTest, RepeatSolveHitsMemoBitIdentical) {
   const data::Dataset ds = data::GenerateDotLike(5000, 42).ProjectPrefix(3);
   auto engine = MakeEngine(ds);

@@ -78,6 +78,17 @@ TEST(Lists, IdsRoundTrip) {
   EXPECT_FALSE(ParseIdList("1,x,3").ok());
 }
 
+TEST(Lists, IdsOutsideInt32AreRejectedNotTruncated) {
+  // 4294967297 = 2^32 + 1 would wrap onto row 1.
+  EXPECT_FALSE(ParseIdList("4294967297").ok());
+  EXPECT_FALSE(ParseIdList("0,2147483648").ok());
+  EXPECT_FALSE(ParseIdList("-2147483649").ok());
+  Result<std::vector<int32_t>> edges = ParseIdList("2147483647,-2147483648");
+  ASSERT_TRUE(edges.ok()) << edges.status().ToString();
+  EXPECT_EQ(edges.value(),
+            (std::vector<int32_t>{2147483647, -2147483647 - 1}));
+}
+
 TEST(Lists, DoublesParse) {
   Result<std::vector<double>> parsed = ParseDoubleList("1.5,2,3e-1");
   ASSERT_TRUE(parsed.ok());

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <fstream>
 #include <map>
 #include <string>
 #include <thread>
@@ -138,6 +139,75 @@ TEST(Server, EndToEndTwoClientsConcurrentQueriesBitIdentical) {
   EXPECT_EQ(alice_ids, DirectSolveIds(400, 3, 3, 4));
   EXPECT_EQ(bob_ids, DirectSolveIds(300, 2, 5, 3));
 
+  server.Stop();
+}
+
+TEST(Server, OutOfRangeIdsAreRejectedNotTruncated) {
+  RrrServer server({});
+  ASSERT_TRUE(server.Start().ok());
+  LineClient client;
+  Connect(server, &client);
+  ASSERT_TRUE(
+      client.Request("REGISTER name=dyn gen=uniform n=50 d=2 seed=7 dynamic=1")
+          .ok());
+  AwaitReady(&client, "dyn");
+  auto rows = [&client]() -> std::string {
+    Result<Reply> status = client.Request("STATUS name=dyn");
+    if (!status.ok() || !status.value().ok) return "?";
+    const std::string* value = status.value().Find("rows");
+    return value == nullptr ? "?" : *value;
+  };
+  ASSERT_EQ(rows(), "50");
+
+  // 2^32 and 2^32 + 1 would wrap onto rows 0 and 1.
+  Result<Reply> del = client.Request("DELETE name=dyn id=4294967296");
+  ASSERT_TRUE(del.ok());
+  EXPECT_FALSE(del.value().ok);
+  EXPECT_EQ(del.value().code, "invalid_argument");
+  Result<Reply> eval = client.Request("EVAL name=dyn ids=4294967297 k=3");
+  ASSERT_TRUE(eval.ok());
+  EXPECT_FALSE(eval.value().ok);
+  EXPECT_EQ(eval.value().code, "invalid_argument");
+  EXPECT_EQ(rows(), "50");
+
+  // In-range ids still reach the data.
+  Result<Reply> good = client.Request("DELETE name=dyn id=0");
+  ASSERT_TRUE(good.ok());
+  EXPECT_TRUE(good.value().ok) << good.value().msg;
+  EXPECT_EQ(rows(), "49");
+  server.Stop();
+}
+
+/// This process's virtual size in KiB (the VmSize line of
+/// /proc/self/status), or 0 when it cannot be read.
+size_t VmSizeKib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoull(line.substr(7));
+  }
+  return 0;
+}
+
+TEST(Server, FinishedConnectionThreadsAreJoinedWhileServing) {
+  RrrServer server({});
+  ASSERT_TRUE(server.Start().ok());
+  auto ping_once = [&server] {
+    LineClient client;
+    Connect(server, &client);
+    Result<Reply> ping = client.Request("PING");
+    ASSERT_TRUE(ping.ok());
+    EXPECT_TRUE(ping.value().ok);
+  };
+  ping_once();  // warm-up: first-connection allocations are not growth
+  const size_t before = VmSizeKib();
+  ASSERT_GT(before, 0u);
+  // One connection at a time: a server that keeps every finished thread
+  // until Stop keeps ~300 stacks of 8 MiB each mapped.
+  for (int i = 0; i < 300; ++i) ping_once();
+  const size_t after = VmSizeKib();
+  EXPECT_LT(after, before + 256 * 1024)
+      << "VmSize grew from " << before << " KiB to " << after << " KiB";
   server.Stop();
 }
 

@@ -2,9 +2,10 @@
 // (best-first) and TopKSetScan (ascending ids) must return exactly what the
 // brute-force oracles testing::BruteTopK / BruteTopKSet return — same ids,
 // same order — for every k around the block size and the buffer's flush
-// points, over dense, masked and appended mirrors, with block skip forced
-// on and off. Ties (duplicate rows) and zero-weight corner functions are
-// where a selection that bends the (score desc, id asc) order would show.
+// points, over dense, masked and appended mirrors (block skip prunes on the
+// mirrors' bounds throughout). Ties (duplicate rows) and zero-weight corner
+// functions are where a selection that bends the (score desc, id asc) order
+// would show.
 // Score floors (a lower bound on the k-th best score seeding the threshold)
 // must leave both selections unchanged on every kernel tier.
 #include <gtest/gtest.h>
@@ -90,8 +91,8 @@ std::vector<size_t> Ks(size_t n) {
   return {1, 63, 64, 65, n / 2, n - 1, n, n + 5};
 }
 
-/// Both kernel selections against the oracles over `source`, with skip
-/// on and off, plus the scanned + skipped == num_blocks accounting.
+/// Both kernel selections against the oracles over `source`, plus the
+/// scanned + skipped == num_blocks accounting.
 void ExpectSelectionsMatch(const data::ColumnBlocks& blocks,
                            const data::Dataset& source,
                            const std::string& tag) {
@@ -100,25 +101,17 @@ void ExpectSelectionsMatch(const data::ColumnBlocks& blocks,
       const std::vector<int32_t> want = testing::BruteTopK(source, f, k);
       const std::vector<int32_t> want_set =
           testing::BruteTopKSet(source, f, k);
-      for (BlockSkip skip : {BlockSkip::kForceOn, BlockSkip::kForceOff}) {
-        const std::string where =
-            tag + " k=" + std::to_string(k) +
-            (skip == BlockSkip::kForceOn ? " skip=on" : " skip=off");
-        ScanStats stats;
-        EXPECT_EQ(TopKScan(blocks, f, k, skip, &stats), want) << where;
-        EXPECT_EQ(stats.blocks_scanned + stats.blocks_skipped,
-                  blocks.num_blocks())
-            << where;
-        ScanStats set_stats;
-        EXPECT_EQ(TopKSetScan(blocks, f, k, skip, &set_stats), want_set)
-            << where;
-        EXPECT_EQ(set_stats.blocks_scanned + set_stats.blocks_skipped,
-                  blocks.num_blocks())
-            << where;
-        if (skip == BlockSkip::kForceOff) {
-          EXPECT_EQ(stats.blocks_skipped, 0u) << where;
-        }
-      }
+      const std::string where = tag + " k=" + std::to_string(k);
+      ScanStats stats;
+      EXPECT_EQ(TopKScan(blocks, f, k, &stats), want) << where;
+      EXPECT_EQ(stats.blocks_scanned + stats.blocks_skipped,
+                blocks.num_blocks())
+          << where;
+      ScanStats set_stats;
+      EXPECT_EQ(TopKSetScan(blocks, f, k, &set_stats), want_set) << where;
+      EXPECT_EQ(set_stats.blocks_scanned + set_stats.blocks_skipped,
+                blocks.num_blocks())
+          << where;
     }
   }
 }
@@ -167,7 +160,7 @@ TEST(TopKSelectTest, EmptyRequestsScanNothing) {
   const data::ColumnBlocks blocks = MustBuild(ds);
   const LinearFunction f(geometry::Vec(kDims, 1.0));
   ScanStats stats{7, 7};
-  EXPECT_TRUE(TopKScan(blocks, f, 0, BlockSkip::kAuto, &stats).empty());
+  EXPECT_TRUE(TopKScan(blocks, f, 0, &stats).empty());
   EXPECT_EQ(stats.blocks_scanned + stats.blocks_skipped, 0u);
   EXPECT_TRUE(TopKSetScan(blocks, f, 0).empty());
 }
@@ -181,7 +174,7 @@ TEST(TopKSelectTest, EmptyRequestsScanNothing) {
 // at least as many blocks when it is the exact k-th score.
 
 /// Floored selections against the unfloored ones over `blocks`, on every
-/// kernel tier, with skip on and off. Sets *saw_split_tie when some k-th
+/// kernel tier. Sets *saw_split_tie when some k-th
 /// row had tying rows with both smaller and larger ids.
 void ExpectFlooredScansMatch(const data::ColumnBlocks& blocks,
                              const data::Dataset& source,
@@ -210,29 +203,24 @@ void ExpectFlooredScansMatch(const data::ColumnBlocks& blocks,
         *saw_split_tie |= tie_below && tie_above;
         const std::vector<int32_t> want_set =
             testing::BruteTopKSet(source, f, k);
-        for (BlockSkip skip : {BlockSkip::kForceOn, BlockSkip::kForceOff}) {
-          ScanStats plain;
-          ASSERT_EQ(TopKScan(blocks, f, k, skip, &plain), ranked);
-          for (double floor :
-               {kth, std::nextafter(kth, -HUGE_VAL), lowest, -HUGE_VAL}) {
-            const std::string where =
-                tag + " " + tier + " k=" + std::to_string(k) +
-                " floor=" + std::to_string(floor) +
-                (skip == BlockSkip::kForceOn ? " skip=on" : " skip=off");
-            ScanStats stats;
-            EXPECT_EQ(TopKScan(blocks, f, k, skip, &stats, floor), ranked)
-                << where;
-            EXPECT_EQ(stats.blocks_scanned + stats.blocks_skipped,
-                      blocks.num_blocks())
-                << where;
-            EXPECT_EQ(TopKSetScan(blocks, f, k, skip, nullptr, floor),
-                      want_set)
-                << where;
-            // The exact k-th score is the tightest threshold any scan can
-            // reach, so it skips at least what the unfloored scan did.
-            if (floor == kth) {
-              EXPECT_GE(stats.blocks_skipped, plain.blocks_skipped) << where;
-            }
+        ScanStats plain;
+        ASSERT_EQ(TopKScan(blocks, f, k, &plain), ranked);
+        for (double floor :
+             {kth, std::nextafter(kth, -HUGE_VAL), lowest, -HUGE_VAL}) {
+          const std::string where = tag + " " + tier + " k=" +
+                                    std::to_string(k) +
+                                    " floor=" + std::to_string(floor);
+          ScanStats stats;
+          EXPECT_EQ(TopKScan(blocks, f, k, &stats, floor), ranked) << where;
+          EXPECT_EQ(stats.blocks_scanned + stats.blocks_skipped,
+                    blocks.num_blocks())
+              << where;
+          EXPECT_EQ(TopKSetScan(blocks, f, k, nullptr, floor), want_set)
+              << where;
+          // The exact k-th score is the tightest threshold any scan can
+          // reach, so it skips at least what the unfloored scan did.
+          if (floor == kth) {
+            EXPECT_GE(stats.blocks_skipped, plain.blocks_skipped) << where;
           }
         }
       }
@@ -288,11 +276,9 @@ TEST(TopKFloorDeathTest, FloorAboveTheKthScoreTripsTheCheck) {
   const std::vector<int32_t> ranked = testing::BruteTopK(ds, f, k);
   const double kth = f.Score(ds.row(static_cast<size_t>(ranked.back())));
   const double impossible = std::nextafter(kth, HUGE_VAL);
-  EXPECT_DEATH((void)TopKScan(blocks, f, k, BlockSkip::kAuto, nullptr,
-                              impossible),
+  EXPECT_DEATH((void)TopKScan(blocks, f, k, nullptr, impossible),
                "above the k-th best score");
-  EXPECT_DEATH((void)TopKSetScan(blocks, f, k, BlockSkip::kForceOff, nullptr,
-                                 impossible),
+  EXPECT_DEATH((void)TopKSetScan(blocks, f, k, nullptr, impossible),
                "above the k-th best score");
 }
 
