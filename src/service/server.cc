@@ -190,8 +190,6 @@ void RrrServer::Stop() {
     threads.swap(conn_threads_);
   }
   for (auto& [id, thread] : threads) thread.join();
-  MutexLock lock(conn_mu_);
-  finished_conns_.clear();
 }
 
 void RrrServer::AcceptLoop() {
