@@ -10,12 +10,12 @@
 #include <vector>
 #include "common/string_util.h"
 #include "common/timer.h"
+#include "core/evaluator.h"
 #include "core/kset_enum2d.h"
 #include "core/mdrc.h"
 #include "core/mdrrr.h"
 #include "core/rrr2d.h"
 #include "data/generators.h"
-#include "eval/rank_regret.h"
 #include "figure_util.h"
 
 int main() {
@@ -43,13 +43,14 @@ int main() {
       // sampled estimator past the cutoff.
       int64_t regret_value = 0;
       if (ds.size() <= sweep_cutoff) {
-        Result<int64_t> regret = eval::ExactRankRegret2D(ds, rep);
+        Result<int64_t> regret = core::SweepExactRankRegret2D(ds, rep);
         RRR_CHECK_OK(regret.status());
         regret_value = *regret;
       } else {
-        eval::SampledRankRegretOptions eval_opts;
+        core::SampledRegretOptions eval_opts;
         eval_opts.num_functions = bench::EvalFunctions();
-        Result<int64_t> regret = eval::SampledRankRegret(ds, rep, eval_opts);
+        Result<int64_t> regret =
+            core::SampledRankRegretEstimate(ds, rep, eval_opts);
         RRR_CHECK_OK(regret.status());
         regret_value = *regret;
       }

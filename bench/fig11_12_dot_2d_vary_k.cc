@@ -9,12 +9,12 @@
 #include <vector>
 #include "common/string_util.h"
 #include "common/timer.h"
+#include "core/evaluator.h"
 #include "core/kset_enum2d.h"
 #include "core/mdrc.h"
 #include "core/mdrrr.h"
 #include "core/rrr2d.h"
 #include "data/generators.h"
-#include "eval/rank_regret.h"
 #include "figure_util.h"
 
 int main() {
@@ -36,7 +36,7 @@ int main() {
 
     auto report = [&](const char* name, double seconds,
                       const std::vector<int32_t>& rep) {
-      Result<int64_t> regret = eval::ExactRankRegret2D(ds, rep);
+      Result<int64_t> regret = core::SweepExactRankRegret2D(ds, rep);
       RRR_CHECK_OK(regret.status());
       bench::PrintRow({name, kp_str, std::to_string(k),
                        StrFormat("%.4f", seconds),

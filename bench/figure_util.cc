@@ -8,9 +8,9 @@
 #include "common/parallel.h"
 #include "common/string_util.h"
 #include "common/timer.h"
+#include "core/evaluator.h"
 #include "core/mdrc.h"
 #include "core/mdrrr.h"
-#include "eval/rank_regret.h"
 
 namespace rrr {
 namespace bench {
@@ -68,7 +68,7 @@ void RunMdComparisonRow(const data::Dataset& dataset,
                         const MdComparisonConfig& config) {
   const size_t threads = ResolveThreads(config.threads);
   const std::string threads_cell = StrFormat("%zu", threads);
-  eval::SampledRankRegretOptions eval_opts;
+  core::SampledRegretOptions eval_opts;
   eval_opts.num_functions = EvalFunctions();
   eval_opts.seed = config.eval_seed;
   eval_opts.threads = threads;
@@ -82,7 +82,7 @@ void RunMdComparisonRow(const data::Dataset& dataset,
   const double mdrc_time = timer.ElapsedSeconds();
   RRR_CHECK_OK(mdrc.status());
   const int64_t mdrc_regret =
-      *eval::SampledRankRegret(dataset, *mdrc, eval_opts);
+      *core::SampledRankRegretEstimate(dataset, *mdrc, eval_opts);
   PrintRow({"MDRC", config.label, StrFormat("%.4f", mdrc_time),
             StrFormat("%lld", static_cast<long long>(mdrc_regret)),
             StrFormat("%zu", mdrc->size()), threads_cell});
@@ -97,7 +97,7 @@ void RunMdComparisonRow(const data::Dataset& dataset,
     const double mdrrr_time = timer.ElapsedSeconds();
     RRR_CHECK_OK(mdrrr.status());
     const int64_t mdrrr_regret =
-        *eval::SampledRankRegret(dataset, *mdrrr, eval_opts);
+        *core::SampledRankRegretEstimate(dataset, *mdrrr, eval_opts);
     PrintRow({"MDRRR", config.label, StrFormat("%.4f", mdrrr_time),
               StrFormat("%lld", static_cast<long long>(mdrrr_regret)),
               StrFormat("%zu", mdrrr->size()), threads_cell});
@@ -116,7 +116,7 @@ void RunMdComparisonRow(const data::Dataset& dataset,
   const double hd_time = timer.ElapsedSeconds();
   RRR_CHECK_OK(hd.status());
   const int64_t hd_regret =
-      *eval::SampledRankRegret(dataset, hd->representative, eval_opts);
+      *core::SampledRankRegretEstimate(dataset, hd->representative, eval_opts);
   PrintRow({"HD-RRMS", config.label, StrFormat("%.4f", hd_time),
             StrFormat("%lld", static_cast<long long>(hd_regret)),
             StrFormat("%zu", hd->representative.size()), threads_cell});

@@ -332,7 +332,8 @@ std::vector<int32_t> CandidateIndex::TopKSet(
 
 int64_t CandidateIndex::MinRankOfSubset(
     const topk::LinearFunction& f, const std::vector<int32_t>& subset,
-    size_t* full_scan_fallbacks, const data::ColumnBlocks* full_blocks) const {
+    const data::ColumnBlocks& full_blocks,
+    size_t* full_scan_fallbacks) const {
   RRR_CHECK(!subset.empty()) << "MinRankOfSubset: empty subset";
   const data::Dataset& full = *full_;
   // Best member under the tie-broken order (same arithmetic as
@@ -367,8 +368,7 @@ int64_t CandidateIndex::MinRankOfSubset(
       // (a tie at best_score could, so ties scan — same strict-loss rule
       // as the kernel entry points).
       if (use_skip &&
-          topk::BlockUpperBound(w, d, mirror.block_max(blk),
-                                mirror.block_min(blk)) < best_score) {
+          topk::BlockUpperBound(w, d, mirror.block_max(blk)) < best_score) {
         ++scan_stats.blocks_skipped;
         continue;
       }
@@ -391,16 +391,9 @@ int64_t CandidateIndex::MinRankOfSubset(
     if (certified) return rank;
   }
   if (full_scan_fallbacks != nullptr) ++(*full_scan_fallbacks);
-  data::ColumnBlocks own_blocks;
-  if (full_blocks == nullptr) {
-    Result<data::ColumnBlocks> built = data::ColumnBlocks::Build(full, 1);
-    RRR_CHECK(built.ok()) << built.status().ToString();
-    own_blocks = std::move(built).value();
-    full_blocks = &own_blocks;
-  }
-  RRR_CHECK(full_blocks->source() == full_)
+  RRR_CHECK(full_blocks.source() == full_)
       << "CandidateIndex: full_blocks mirror a different dataset";
-  return topk::MinRankOfSubset(*full_blocks, f, subset);
+  return topk::MinRankOfSubset(full_blocks, f, subset);
 }
 
 size_t CandidateIndex::ApproxBytes() const {

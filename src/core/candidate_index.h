@@ -187,13 +187,12 @@ class CandidateIndex {
   /// exactly that rank in the full dataset too. `full_scan_fallbacks`
   /// (may be null) is incremented when the fallback fires. The band count
   /// always runs through the blocked kernel (band_blocks()); the fallback
-  /// scans `full_blocks`, the full dataset's mirror — a null mirror is
-  /// built (serially) when the fallback fires.
+  /// scans `full_blocks`, the full dataset's mirror (e.g.
+  /// PreparedDataset::column_blocks()).
   int64_t MinRankOfSubset(const topk::LinearFunction& f,
                           const std::vector<int32_t>& subset,
-                          size_t* full_scan_fallbacks = nullptr,
-                          const data::ColumnBlocks* full_blocks =
-                              nullptr) const;
+                          const data::ColumnBlocks& full_blocks,
+                          size_t* full_scan_fallbacks = nullptr) const;
 
   /// Approximate heap footprint in bytes: the band dataset, its id map,
   /// the band's columnar mirror, and the 2D band sweep. The service layer's

@@ -7,7 +7,6 @@
 #include "common/logging.h"
 #include "common/mutex.h"
 #include "core/candidate_index.h"
-#include "data/column_blocks.h"
 
 namespace rrr {
 namespace core {
@@ -23,12 +22,6 @@ constexpr size_t kNoAppend = std::numeric_limits<size_t>::max();
 /// rebuilds them from scratch (each recount is an O(n d) early-exit scan,
 /// so unbounded recounting could cost more than one rebuild).
 constexpr size_t kMaxDeleteRecounts = 8;
-
-/// Masked-mirror compaction trigger: once deletes have killed more than
-/// this fraction of a mirror's physical lanes, the derived mirror is not
-/// carried forward and the new version pays one dense re-transpose
-/// instead of scanning mostly-dead tiles forever.
-constexpr double kMaxDeadFraction = 0.5;
 
 }  // namespace
 
@@ -232,20 +225,13 @@ Result<DatasetVersion> DynamicDataset::PublishNext(
                                base->version().ordinal + 1};
   seed.version = version;
 
-  // Every branch below is cost-only — the new version answers
-  // bit-identically with or without the seed (CreateVersioned builds a
-  // dense mirror when the seed carries none). Counts are only maintained
-  // when some candidate build already paid for them.
-  const data::ColumnBlocks& base_blocks = base->column_blocks();
+  // Count maintenance is cost-only — the new version answers
+  // bit-identically with or without seeded counts — and runs only when
+  // some candidate build already paid for the base's counts.
   const std::pair<size_t, std::shared_ptr<const std::vector<uint32_t>>>
       base_counts = base->CandidateCountsSnapshot();
-  if (appended_from != kNoAppend) {
-    data::ColumnBlocks grown_blocks;
-    RRR_ASSIGN_OR_RETURN(
-        grown_blocks,
-        data::ColumnBlocks::BuildAppended(base_blocks, grown, ctx));
-    seed.blocks = std::make_unique<data::ColumnBlocks>(std::move(grown_blocks));
-    if (base_counts.first > 0 && base_counts.second != nullptr) {
+  if (base_counts.first > 0 && base_counts.second != nullptr) {
+    if (appended_from != kNoAppend) {
       std::vector<uint32_t> extended;
       RRR_ASSIGN_OR_RETURN(
           extended,
@@ -255,17 +241,7 @@ Result<DatasetVersion> DynamicDataset::PublishNext(
       seed.counts_cap = base_counts.first;
       seed.counts = std::make_shared<const std::vector<uint32_t>>(
           std::move(extended));
-    }
-  } else {
-    data::ColumnBlocks masked;
-    RRR_ASSIGN_OR_RETURN(masked, base_blocks.WithoutRow(&grown, deleted_id));
-    // Compaction decision point: past the dead-lane threshold the masked
-    // mirror is abandoned and the new version re-transposes densely, instead
-    // of every scan wading through dead tiles.
-    if (masked.dead_fraction() <= kMaxDeadFraction) {
-      seed.blocks = std::make_unique<data::ColumnBlocks>(std::move(masked));
-    }
-    if (base_counts.first > 0 && base_counts.second != nullptr) {
+    } else {
       ShrinkCountsOutcome shrunk;
       RRR_ASSIGN_OR_RETURN(
           shrunk, ShrinkOutrankerCountsForDelete(

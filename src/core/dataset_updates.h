@@ -80,18 +80,15 @@ Result<ShrinkCountsOutcome> ShrinkOutrankerCountsForDelete(
 /// to a from-scratch build over the same rows — the differential suite's
 /// oracle contract).
 ///
-/// Derived artifacts carry forward incrementally: the columnar mirror —
-/// which every version owns — via appended tiles / validity masks, and,
-/// when the previous version had them, the k-skyband counts via the
-/// append/delete primitives above. Two fixed bounds keep that maintenance
-/// cheaper than a rebuild (dataset_updates.cc): once deletes have killed
-/// more than half of a mirror's physical lanes, the new version
-/// re-transposes densely instead of scanning mostly-dead tiles; and a
-/// delete that would recount more than 8 saturated rows drops the counts,
-/// so the next candidate build recounts from scratch. None of this changes
-/// any query result. An update preempted via ExecContext returns
-/// Cancelled/DeadlineExceeded with the current version untouched and no
-/// partial artifact published anywhere.
+/// Every version transposes its own columnar mirror afresh: the update
+/// already copies all n rows, so the transpose costs the same order. When
+/// the previous version had k-skyband counts, they carry forward via the
+/// append/delete primitives above; a delete that would recount more than
+/// 8 saturated rows drops them, so the next candidate build recounts from
+/// scratch (dataset_updates.cc). None of this changes any query result.
+/// An update preempted via ExecContext returns Cancelled/DeadlineExceeded
+/// with the current version untouched and no partial artifact published
+/// anywhere.
 ///
 /// Thread-safety: all methods are safe from any thread; writers serialize
 /// with each other, readers never block writers beyond one mutex-guarded
@@ -142,8 +139,8 @@ class DynamicDataset {
 
   /// Builds + publishes the next version from `cells` (the full new
   /// row-major buffer). `appended_from` == the old row count for appends
-  /// (drives mirror/count extension), or SIZE_MAX with `deleted_id` set
-  /// for deletes.
+  /// (drives count extension), or SIZE_MAX with `deleted_id` set for
+  /// deletes.
   Result<DatasetVersion> PublishNext(
       const std::shared_ptr<const PreparedDataset>& base,
       std::vector<double> cells, size_t new_rows, size_t appended_from,

@@ -120,7 +120,7 @@ Result<int64_t> SampledRankRegretEstimate(const data::Dataset& dataset,
     }
     size_t fell_back = 0;
     const int64_t rank =
-        candidates->MinRankOfSubset(f, subset, &fell_back, blocks);
+        candidates->MinRankOfSubset(f, subset, *blocks, &fell_back);
     if (fell_back != 0) fallbacks.fetch_add(1, std::memory_order_relaxed);
     return rank;
   };

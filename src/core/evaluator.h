@@ -19,18 +19,17 @@ class CandidateIndex;
 /// functions: max over theta in [0, pi/2] of the best subset rank
 /// (Definition 2 evaluated exactly). One angular sweep, O(E log n).
 ///
-/// This is the implementation behind eval::ExactRankRegret2D; it lives in
-/// core so the engine facade (also core) can audit representatives without
-/// a core -> eval dependency cycle. `sweep` optionally reuses a prebuilt
-/// AngularSweep over the same dataset (PreparedDataset shares one);
-/// `ctx` preempts the sweep with Cancelled/DeadlineExceeded.
+/// It lives in core so the engine facade (also core) can audit
+/// representatives without a core -> eval dependency cycle. `sweep`
+/// optionally reuses a prebuilt AngularSweep over the same dataset
+/// (PreparedDataset shares one); `ctx` preempts the sweep with
+/// Cancelled/DeadlineExceeded.
 Result<int64_t> SweepExactRankRegret2D(const data::Dataset& dataset,
                                        const std::vector<int32_t>& subset,
                                        const ExecContext& ctx = {},
                                        const AngularSweep* sweep = nullptr);
 
-/// Options for the sampled estimator (mirrors
-/// eval::SampledRankRegretOptions, which delegates here).
+/// Options for the sampled estimator.
 struct SampledRegretOptions {
   /// Ranking functions drawn uniformly from the first orthant of the unit
   /// sphere (the paper's Section 6.1 uses 10,000).

@@ -127,18 +127,7 @@ Result<std::shared_ptr<const PreparedDataset>> PreparedDataset::CreateVersioned(
   }
   std::shared_ptr<PreparedDataset> prepared(
       new PreparedDataset(std::move(dataset), candidate, seed.version));
-  if (seed.blocks == nullptr) {
-    RRR_RETURN_IF_ERROR(prepared->BuildColumnBlocks());
-  } else {
-    if (seed.blocks->rows() != n || seed.blocks->dims() != prepared->dims()) {
-      return Status::InvalidArgument(
-          "CreateVersioned: seed mirror shape mismatches the dataset");
-    }
-    // The seed mirror was built against the update layer's staging
-    // dataset; the rows now live (bit-identically) inside this object.
-    seed.blocks->RebindSource(&prepared->data_);
-    prepared->column_blocks_ = std::move(seed.blocks);
-  }
+  RRR_RETURN_IF_ERROR(prepared->BuildColumnBlocks());
   if (seed.counts != nullptr) {
     const size_t cap = std::min(seed.counts_cap, n);
     std::vector<uint32_t> band_sizes = BandSizes(*seed.counts, cap);

@@ -227,22 +227,19 @@ class KeyedLazyCache {
 /// immutable from the caller's perspective thereafter.
 class PreparedDataset {
  public:
-  /// \brief Pre-built artifacts handed to CreateVersioned by the
-  /// dynamic-update layer (core/dataset_updates.h), so a new version starts
-  /// life with incrementally-maintained state instead of recomputing from
-  /// scratch on first query.
+  /// \brief State handed to CreateVersioned by the dynamic-update layer
+  /// (core/dataset_updates.h): the new version's token and, when the base
+  /// version had them, its incrementally-maintained k-skyband counts, so
+  /// the first candidate build need not recount from scratch.
   ///
-  /// Everything here must be a pure function of the new dataset — the seed
-  /// changes maintenance cost, never any result. `blocks`, when non-null, is a
-  /// mirror of exactly the new dataset's rows (possibly masked or
-  /// appended-to; its source pointer is rebound to the prepared copy); when
-  /// null, CreateVersioned builds a dense one.
-  /// `counts`, when non-null, are always-outranker counts capped at
-  /// `counts_cap` (the CandidateIndex::CountAlwaysOutrankers contract).
+  /// The counts must be a pure function of the new dataset — the seed
+  /// changes maintenance cost, never any result. `counts`, when non-null,
+  /// are always-outranker counts capped at `counts_cap` (the
+  /// CandidateIndex::CountAlwaysOutrankers contract). The columnar mirror
+  /// is not seeded: CreateVersioned transposes a fresh one, as Create does.
   struct UpdateSeed {
     /// Version token of the new dataset state; must be assigned().
     DatasetVersion version;
-    std::unique_ptr<data::ColumnBlocks> blocks;
     size_t counts_cap = 0;
     std::shared_ptr<const std::vector<uint32_t>> counts;
   };
@@ -477,7 +474,7 @@ class PreparedDataset {
                   const CandidateIndexOptions& candidate,
                   DatasetVersion version);
 
-  /// Fills column_blocks_ with a dense mirror of data_ (construction only).
+  /// Fills column_blocks_ with a mirror of data_ (construction only).
   Status BuildColumnBlocks();
 
   data::Dataset data_;

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <limits>
 
-#include "common/logging.h"
 #include "common/parallel.h"
 
 namespace rrr {
@@ -15,55 +13,28 @@ namespace {
 
 constexpr size_t kBlockRows = ColumnBlocks::kBlockRows;
 
-/// Transposes rows [row_begin, row_end) of `dataset` into physical lanes
-/// [lane_begin, lane_begin + (row_end - row_begin)) of `cells`.
-void TransposeInto(const Dataset& dataset, size_t row_begin, size_t row_end,
-                   size_t lane_begin, size_t d, std::vector<double>* cells) {
-  for (size_t r = row_begin; r < row_end; ++r) {
-    const size_t lane = lane_begin + (r - row_begin);
-    const size_t b = lane / kBlockRows;
-    const size_t l = lane % kBlockRows;
-    double* out = cells->data() + b * d * kBlockRows;
-    const double* row = dataset.row(r);
-    for (size_t j = 0; j < d; ++j) {
-      out[j * kBlockRows + l] = row[j];
-    }
-  }
-}
-
-/// Computes the conservative column bounds of blocks [b_begin, b_end) from
-/// the already-transposed cells: for each block, d maxima then d minima over
-/// the non-padding lanes (dead lanes included — conservative by design). A
-/// NaN anywhere in a column poisons that column's bounds to +/-inf so no
-/// upper bound folded from them can justify a skip.
-void ComputeBounds(const std::vector<double>& cells, size_t d,
-                   size_t physical, size_t b_begin, size_t b_end,
-                   std::vector<double>* bounds) {
+/// Computes the column maxima of blocks [b_begin, b_end) from the
+/// already-transposed cells, over each block's non-padding lanes. A NaN
+/// anywhere in a column poisons that column's max to +inf so no upper bound
+/// folded from it can justify a skip.
+void ComputeMaxima(const std::vector<double>& cells, size_t d, size_t n,
+                   size_t b_begin, size_t b_end, std::vector<double>* maxs) {
   for (size_t b = b_begin; b < b_end; ++b) {
     const double* block = cells.data() + b * d * kBlockRows;
-    const size_t rows = std::min(kBlockRows, physical - b * kBlockRows);
-    double* bmax = bounds->data() + b * 2 * d;
-    double* bmin = bmax + d;
+    const size_t rows = std::min(kBlockRows, n - b * kBlockRows);
+    double* bmax = maxs->data() + b * d;
     for (size_t j = 0; j < d; ++j) {
       const double* col = block + j * kBlockRows;
       double mx = -std::numeric_limits<double>::infinity();
-      double mn = std::numeric_limits<double>::infinity();
-      bool poisoned = false;
       for (size_t lane = 0; lane < rows; ++lane) {
         const double v = col[lane];
         if (v != v) {
-          poisoned = true;
+          mx = std::numeric_limits<double>::infinity();
           break;
         }
         if (v > mx) mx = v;
-        if (v < mn) mn = v;
-      }
-      if (poisoned) {
-        mx = std::numeric_limits<double>::infinity();
-        mn = -std::numeric_limits<double>::infinity();
       }
       bmax[j] = mx;
-      bmin[j] = mn;
     }
   }
 }
@@ -76,15 +47,17 @@ Result<ColumnBlocks> ColumnBlocks::Build(const Dataset& dataset,
   RRR_RETURN_IF_ERROR(ctx.CheckPreempted());
   const size_t n = dataset.size();
   const size_t d = dataset.dims();
-  if (n == 0) {
-    return ColumnBlocks(&dataset, 0, 0, d, 0,
-                        std::make_shared<const std::vector<double>>(),
-                        nullptr, nullptr, nullptr);
-  }
+  ColumnBlocks blocks;
+  blocks.source_ = &dataset;
+  blocks.rows_ = n;
+  blocks.d_ = d;
+  if (n == 0) return blocks;
   const size_t num_blocks = (n + kBlockRows - 1) / kBlockRows;
+  blocks.num_blocks_ = num_blocks;
+  blocks.cells_.assign(num_blocks * d * kBlockRows, 0.0);
+  blocks.maxs_.assign(num_blocks * d, 0.0);
 
-  std::vector<double> cells(num_blocks * d * kBlockRows, 0.0);
-  std::vector<double> bounds(num_blocks * 2 * d, 0.0);
+  std::vector<double>& cells = blocks.cells_;
   std::atomic<bool> preempted{false};
   ParallelForChunked(
       ResolveThreads(ctx.ThreadsOver(threads)), num_blocks, 8,
@@ -105,179 +78,15 @@ Result<ColumnBlocks> ColumnBlocks::Build(const Dataset& dataset,
             }
           }
         }
-        // Bounds ride the transpose pass while the tiles are cache-hot.
-        ComputeBounds(cells, d, n, begin, end, &bounds);
+        // Maxima ride the transpose pass while the tiles are cache-hot.
+        ComputeMaxima(cells, d, n, begin, end, &blocks.maxs_);
       });
   if (preempted.load()) {
     Status cause = ctx.CheckPreempted();
     if (cause.ok()) cause = Status::Cancelled("column mirror build preempted");
     return cause;
   }
-  return ColumnBlocks(
-      &dataset, n, n, d, num_blocks,
-      std::make_shared<const std::vector<double>>(std::move(cells)), nullptr,
-      nullptr,
-      std::make_shared<const std::vector<double>>(std::move(bounds)));
-}
-
-Result<ColumnBlocks> ColumnBlocks::BuildAppended(const ColumnBlocks& base,
-                                                 const Dataset& grown,
-                                                 const ExecContext& ctx) {
-  RRR_RETURN_IF_ERROR(ctx.CheckPreempted());
-  if (grown.dims() != base.d_) {
-    return Status::InvalidArgument(
-        "BuildAppended: grown dataset dimension mismatches the base mirror");
-  }
-  if (grown.size() < base.live_) {
-    return Status::InvalidArgument(
-        "BuildAppended: grown dataset is smaller than the base mirror");
-  }
-  if (base.live_ == 0) return Build(grown, 1, ctx);
-  const size_t d = base.d_;
-  const size_t appended = grown.size() - base.live_;
-#ifndef NDEBUG
-  // The appended-tile contract: grown's first live_ rows ARE the base's
-  // mirrored live rows. Spot-check the first and last of them.
-  for (size_t probe : {size_t{0}, base.live_ - 1}) {
-    const size_t lane = base.PhysicalOfLive(probe);
-    const double* row = grown.row(probe);
-    for (size_t j = 0; j < d; ++j) {
-      RRR_DCHECK(base.column(lane / kBlockRows, j)[lane % kBlockRows] ==
-                 row[j])
-          << "BuildAppended: grown does not extend the base mirror";
-    }
-  }
-#endif
-  const size_t physical = base.physical_ + appended;
-  const size_t num_blocks = (physical + kBlockRows - 1) / kBlockRows;
-
-  std::vector<double> cells(num_blocks * d * kBlockRows, 0.0);
-  std::memcpy(cells.data(), base.cell_base_,
-              base.num_blocks_ * d * kBlockRows * sizeof(double));
-  TransposeInto(grown, base.live_, grown.size(), base.physical_, d, &cells);
-  RRR_RETURN_IF_ERROR(ctx.CheckPreempted());
-
-  // Bounds: blocks the append never touches inherit the base's (possibly
-  // stale, always conservative); the boundary block and fresh tail blocks
-  // are recomputed from the now-final cells.
-  std::vector<double> bounds(num_blocks * 2 * d, 0.0);
-  const size_t boundary = base.physical_ / kBlockRows;
-  const size_t copied = std::min(boundary, base.num_blocks_);
-  if (base.bounds_base_ != nullptr) {
-    std::memcpy(bounds.data(), base.bounds_base_,
-                copied * 2 * d * sizeof(double));
-    ComputeBounds(cells, d, physical, copied, num_blocks, &bounds);
-  } else {
-    ComputeBounds(cells, d, physical, 0, num_blocks, &bounds);
-  }
-
-  std::shared_ptr<const std::vector<uint64_t>> mask;
-  std::shared_ptr<const std::vector<uint32_t>> prefix;
-  if (base.mask_ != nullptr) {
-    // Extend the base's validity bookkeeping: appended lanes are all live.
-    std::vector<uint64_t> grown_mask(num_blocks, 0);
-    std::copy(base.mask_->begin(), base.mask_->end(), grown_mask.begin());
-    for (size_t lane = base.physical_; lane < physical; ++lane) {
-      grown_mask[lane / kBlockRows] |= uint64_t{1} << (lane % kBlockRows);
-    }
-    std::vector<uint32_t> grown_prefix(num_blocks, 0);
-    uint32_t live = 0;
-    for (size_t b = 0; b < num_blocks; ++b) {
-      grown_prefix[b] = live;
-      live += static_cast<uint32_t>(__builtin_popcountll(grown_mask[b]));
-    }
-    mask = std::make_shared<const std::vector<uint64_t>>(
-        std::move(grown_mask));
-    prefix = std::make_shared<const std::vector<uint32_t>>(
-        std::move(grown_prefix));
-  }
-  return ColumnBlocks(
-      &grown, physical, grown.size(), d, num_blocks,
-      std::make_shared<const std::vector<double>>(std::move(cells)),
-      std::move(mask), std::move(prefix),
-      std::make_shared<const std::vector<double>>(std::move(bounds)));
-}
-
-size_t ColumnBlocks::PhysicalOfLive(size_t live_index) const {
-  RRR_DCHECK(live_index < live_) << "PhysicalOfLive: index out of range";
-  if (mask_ == nullptr) return live_index;
-  // Find the block by its live prefix, then select the (live_index -
-  // prefix)-th set bit of its mask.
-  size_t b = 0;
-  for (; b + 1 < num_blocks_; ++b) {
-    if ((*live_prefix_)[b + 1] > live_index) break;
-  }
-  uint64_t m = (*mask_)[b];
-  size_t remaining = live_index - (*live_prefix_)[b];
-  for (size_t lane = 0; lane < kBlockRows; ++lane) {
-    if (!((m >> lane) & 1)) continue;
-    if (remaining == 0) return b * kBlockRows + lane;
-    --remaining;
-  }
-  RRR_CHECK(false) << "PhysicalOfLive: live prefix and mask disagree";
-  return 0;
-}
-
-Result<ColumnBlocks> ColumnBlocks::WithoutRow(const Dataset* compacted_source,
-                                              size_t live_index) const {
-  if (compacted_source == nullptr) {
-    return Status::InvalidArgument("WithoutRow: null compacted source");
-  }
-  if (live_ < 2) {
-    return Status::InvalidArgument(
-        "WithoutRow: cannot delete from a mirror with fewer than two rows");
-  }
-  if (live_index >= live_) {
-    return Status::InvalidArgument("WithoutRow: row index out of range");
-  }
-  if (compacted_source->size() != live_ - 1 ||
-      compacted_source->dims() != d_) {
-    return Status::InvalidArgument(
-        "WithoutRow: compacted source shape mismatch");
-  }
-  const size_t lane = PhysicalOfLive(live_index);
-
-  std::vector<uint64_t> mask(num_blocks_, 0);
-  if (mask_ != nullptr) {
-    std::copy(mask_->begin(), mask_->end(), mask.begin());
-  } else {
-    for (size_t b = 0; b < num_blocks_; ++b) mask[b] = block_mask(b);
-  }
-  mask[lane / kBlockRows] &= ~(uint64_t{1} << (lane % kBlockRows));
-
-  std::vector<uint32_t> prefix(num_blocks_, 0);
-  uint32_t live = 0;
-  for (size_t b = 0; b < num_blocks_; ++b) {
-    prefix[b] = live;
-    live += static_cast<uint32_t>(__builtin_popcountll(mask[b]));
-  }
-  RRR_DCHECK(live == live_ - 1) << "WithoutRow: mask bookkeeping broke";
-  // Bounds are shared unchanged: the deleted lane's values may keep a bound
-  // wider than the live lanes need, which is stale but still conservative.
-  return ColumnBlocks(
-      compacted_source, physical_, live_ - 1, d_, num_blocks_, cells_,
-      std::make_shared<const std::vector<uint64_t>>(std::move(mask)),
-      std::make_shared<const std::vector<uint32_t>>(std::move(prefix)),
-      bounds_);
-}
-
-void ColumnBlocks::RebindSource(const Dataset* source) {
-  RRR_CHECK(source != nullptr) << "RebindSource: null source";
-  RRR_CHECK(source->size() == live_ && source->dims() == d_)
-      << "RebindSource: source shape mismatches the mirror";
-#ifndef NDEBUG
-  if (live_ > 0) {
-    for (size_t probe : {size_t{0}, live_ - 1}) {
-      const size_t lane = PhysicalOfLive(probe);
-      const double* row = source->row(probe);
-      for (size_t j = 0; j < d_; ++j) {
-        RRR_DCHECK(column(lane / kBlockRows, j)[lane % kBlockRows] == row[j])
-            << "RebindSource: source values mismatch the mirror";
-      }
-    }
-  }
-#endif
-  source_ = source;
+  return blocks;
 }
 
 }  // namespace data

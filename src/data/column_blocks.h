@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/exec_context.h"
@@ -26,38 +25,26 @@ namespace data {
 /// contract cheap to keep.
 ///
 /// The final block is zero-padded up to kBlockRows rows; consumers must use
-/// block_rows() to ignore the padding lanes (their scores are computed and
-/// discarded, never surfaced).
+/// block_rows() (or block_mask()) to ignore the padding lanes (their scores
+/// are computed and discarded, never surfaced). Lane l of block b always
+/// holds source() row b * kBlockRows + l.
 ///
-/// \par Derived mirrors for versioned datasets
-/// Two construction paths let the dynamic-update layer (core/
-/// dataset_updates.h) maintain a version's mirror incrementally instead of
-/// re-transposing n rows per update:
-///  - BuildAppended reuses the base mirror's tiles wholesale and transposes
-///    only the appended rows (new rows fill the last partial tile, then
-///    open fresh ones);
-///  - WithoutRow shares the base mirror's tile storage outright and marks
-///    the deleted row's lane dead in a per-block validity mask.
-/// A masked mirror's lanes therefore carry *physical* positions that no
-/// longer equal source() row ids; the kernel entry points
-/// (ScoreAll/TopKScan/MaxScore/CountOutranking) honor the mask — dead lanes
-/// are scored and discarded exactly like padding, and live lanes map to ids
-/// through the compacted order — so a masked mirror is bit-identical in
-/// every kernel result to a fresh dense mirror of the same source dataset.
-/// Code that walks blocks directly must consult block_mask()/live_before()
-/// instead of assuming lane == id (dense mirrors keep that equality).
+/// \par Versioned datasets
+/// Every version the dynamic-update layer (core/dataset_updates.h)
+/// publishes builds its own mirror from scratch: an update already copies
+/// all n row-major rows, so the one O(n d) transpose costs the same order.
 ///
 /// Build cost is one O(n d) transpose pass (parallel over blocks,
-/// ExecContext-cancellable); PreparedDataset builds the mirror lazily and
-/// shares it across every query. The source Dataset must outlive the mirror
-/// (block data is copied or shared, but consumers identity-check source()).
+/// ExecContext-cancellable); PreparedDataset builds the mirror at creation
+/// and shares it across every query. The source Dataset must outlive the
+/// mirror (block data is copied, but consumers identity-check source()).
 class ColumnBlocks {
  public:
   /// Rows per block. 64 keeps a block's column (512 bytes) a small whole
   /// number of cache lines and a d <= 16 block inside L1.
   static constexpr size_t kBlockRows = 64;
 
-  /// Builds a dense mirror. `threads` follows the library convention
+  /// Builds the mirror. `threads` follows the library convention
   /// (0 = hardware concurrency, 1 = serial; the mirror is identical for
   /// every thread count); `ctx` can preempt the transpose with
   /// Cancelled/DeadlineExceeded.
@@ -65,40 +52,33 @@ class ColumnBlocks {
                                     size_t threads = 0,
                                     const ExecContext& ctx = {});
 
-  /// \brief Appendable-tile path: mirrors `grown` by reusing every tile of
-  /// `base` (whose mirrored rows must be exactly the first base.rows() rows
-  /// of `grown`, value-identical) and transposing only the appended tail.
-  ///
-  /// Cost is O(copy of base tiles + appended * d) instead of O(n d)
-  /// transpose work; the result is bit-identical to Build(grown). Works on
-  /// masked bases too — appended rows occupy fresh physical lanes after the
-  /// base's, which is exactly their compacted position since appends take
-  /// the largest ids. Fails with InvalidArgument on shape mismatch.
-  static Result<ColumnBlocks> BuildAppended(const ColumnBlocks& base,
-                                            const Dataset& grown,
-                                            const ExecContext& ctx = {});
-
   ColumnBlocks() = default;
 
-  /// Mirrored live (source-visible) row count — equals source()->size().
-  size_t rows() const { return live_; }
+  /// Mirrored row count — equals source()->size().
+  size_t rows() const { return rows_; }
   size_t dims() const { return d_; }
-  bool empty() const { return live_ == 0; }
+  bool empty() const { return rows_ == 0; }
 
-  /// Number of kBlockRows-row tiles over the physical lanes.
+  /// Number of kBlockRows-row tiles.
   size_t num_blocks() const { return num_blocks_; }
 
-  /// Physical lanes in block `b`: kBlockRows except possibly for the last
-  /// block. Lanes >= block_rows(b) are zero padding; for a masked mirror
-  /// some lanes below it are dead too — consult block_mask().
+  /// Rows in block `b`: kBlockRows except possibly for the last block.
+  /// Lanes >= block_rows(b) are zero padding.
   size_t block_rows(size_t b) const {
-    return b + 1 < num_blocks_ ? kBlockRows : physical_ - b * kBlockRows;
+    return b + 1 < num_blocks_ ? kBlockRows : rows_ - b * kBlockRows;
+  }
+
+  /// Row-lane bitmap of block `b`: bit l set iff lane l holds a row (every
+  /// lane below block_rows(b)).
+  uint64_t block_mask(size_t b) const {
+    const size_t rows = block_rows(b);
+    return rows >= 64 ? ~uint64_t{0} : (uint64_t{1} << rows) - 1;
   }
 
   /// The dims() * kBlockRows doubles of block `b`; column j starts at
   /// offset j * kBlockRows.
   const double* block(size_t b) const {
-    return cell_base_ + b * d_ * kBlockRows;
+    return cells_.data() + b * d_ * kBlockRows;
   }
 
   /// Column j of block b (kBlockRows contiguous doubles, padded).
@@ -106,138 +86,38 @@ class ColumnBlocks {
     return block(b) + j * kBlockRows;
   }
 
-  /// True when per-block column bounds are available (every build path
-  /// produces them for non-empty mirrors; only a default-constructed or
-  /// empty mirror lacks them).
-  bool has_block_bounds() const { return bounds_base_ != nullptr; }
+  /// True when per-block column maxima are available (every non-empty
+  /// mirror has them).
+  bool has_block_bounds() const { return !maxs_.empty(); }
 
   /// \brief Per-column maxima of block `b`: dims() doubles, block_max(b)[j]
   /// >= every value of column j in the block's non-padding lanes.
   ///
-  /// Bounds are *conservative*, not tight: they cover dead (masked) lanes
-  /// too, and derived mirrors inherit their base's bounds unchanged
-  /// (WithoutRow) or widened (BuildAppended) — a stale bound is still a
-  /// valid bound. A column containing NaN has its max poisoned to +inf and
-  /// its min to -inf, so any upper bound folded from it can never claim a
+  /// Scan weights are never negative (LinearFunction checks), so maxima
+  /// alone bound every lane score. A column containing NaN has its max
+  /// poisoned to +inf, so any upper bound folded from it can never claim a
   /// block is skippable. Consumers: topk/score_kernel.h's BlockUpperBound.
-  const double* block_max(size_t b) const {
-    return bounds_base_ + b * 2 * d_;
-  }
-
-  /// Per-column minima of block `b` (same conservativeness contract as
-  /// block_max); the upper-bound fold uses the min for negative weights.
-  const double* block_min(size_t b) const {
-    return bounds_base_ + b * 2 * d_ + d_;
-  }
-
-  /// True when some physical lanes are dead (rows deleted after the mirror
-  /// was built). Dense mirrors (every build path except WithoutRow) are
-  /// unmasked and keep lane == source row id.
-  bool masked() const { return mask_ != nullptr; }
-
-  /// Live-lane bitmap of block `b` (bit l set iff lane l holds a live
-  /// row). For dense mirrors this is every lane below block_rows(b).
-  uint64_t block_mask(size_t b) const {
-    if (mask_ != nullptr) return (*mask_)[b];
-    const size_t rows = block_rows(b);
-    return rows >= 64 ? ~uint64_t{0} : (uint64_t{1} << rows) - 1;
-  }
-
-  /// Live lanes strictly before block `b` — the source row id of block
-  /// b's first live lane (ids are compacted over live lanes in physical
-  /// order).
-  size_t live_before(size_t b) const {
-    return mask_ != nullptr ? (*live_prefix_)[b] : b * kBlockRows;
-  }
-
-  /// Dead fraction of the physical lanes (0 for dense mirrors) — the
-  /// dynamic layer's compaction trigger: past a threshold, scans waste
-  /// enough work on dead lanes that a dense rebuild pays for itself.
-  double dead_fraction() const {
-    return physical_ == 0
-               ? 0.0
-               : static_cast<double>(physical_ - live_) /
-                     static_cast<double>(physical_);
-  }
-
-  /// \brief Masked-delete path: a mirror of `compacted_source` (this
-  /// mirror's source minus the row at `live_index`) sharing this mirror's
-  /// tile storage — O(num_blocks) mask bookkeeping, no cell copies.
-  ///
-  /// Every kernel result over the derived mirror is bit-identical to a
-  /// fresh Build over `compacted_source`. Fails with InvalidArgument on
-  /// shape mismatch (compacted_source must hold exactly rows() - 1 rows).
-  Result<ColumnBlocks> WithoutRow(const Dataset* compacted_source,
-                                  size_t live_index) const;
-
-  /// \brief Rebinds source() to `source`, which must hold exactly the
-  /// mirrored live rows, in order, value-identical (checked in debug
-  /// builds).
-  ///
-  /// Needed by the versioned-update layer: a derived mirror is built
-  /// against a staging Dataset whose final resting address — inside the
-  /// new PreparedDataset — exists only after construction.
-  void RebindSource(const Dataset* source);
+  const double* block_max(size_t b) const { return maxs_.data() + b * d_; }
 
   /// The dataset this mirror was built from (identity-checked by
   /// consumers that take both).
   const Dataset* source() const { return source_; }
 
-  /// Approximate heap footprint of the mirror in bytes. Derived mirrors
-  /// (WithoutRow) share their base's tile storage, so summing ApproxBytes
-  /// over related mirrors over-counts — this is an eviction-budget signal
-  /// (upper bound per mirror), not an allocation census.
+  /// Approximate heap footprint of the mirror in bytes (an eviction-budget
+  /// signal, not an allocation census).
   size_t ApproxBytes() const {
-    size_t bytes = 0;
-    if (cells_ != nullptr) bytes += cells_->size() * sizeof(double);
-    if (mask_ != nullptr) bytes += mask_->size() * sizeof(uint64_t);
-    if (live_prefix_ != nullptr) {
-      bytes += live_prefix_->size() * sizeof(uint32_t);
-    }
-    if (bounds_ != nullptr) bytes += bounds_->size() * sizeof(double);
-    return bytes;
+    return (cells_.size() + maxs_.size()) * sizeof(double);
   }
 
  private:
-  ColumnBlocks(const Dataset* source, size_t physical, size_t live, size_t d,
-               size_t num_blocks,
-               std::shared_ptr<const std::vector<double>> cells,
-               std::shared_ptr<const std::vector<uint64_t>> mask,
-               std::shared_ptr<const std::vector<uint32_t>> live_prefix,
-               std::shared_ptr<const std::vector<double>> bounds)
-      : source_(source),
-        physical_(physical),
-        live_(live),
-        d_(d),
-        num_blocks_(num_blocks),
-        cells_(std::move(cells)),
-        cell_base_(cells_ == nullptr ? nullptr : cells_->data()),
-        mask_(std::move(mask)),
-        live_prefix_(std::move(live_prefix)),
-        bounds_(std::move(bounds)),
-        bounds_base_(bounds_ == nullptr ? nullptr : bounds_->data()) {}
-
-  /// Physical lane (global, block-major) of the live row `live_index`.
-  size_t PhysicalOfLive(size_t live_index) const;
-
   const Dataset* source_ = nullptr;
-  size_t physical_ = 0;  // mirrored lanes, dead ones included
-  size_t live_ = 0;      // live lanes == source()->size()
+  size_t rows_ = 0;
   size_t d_ = 0;
   size_t num_blocks_ = 0;
-  /// num_blocks_ * d_ * kBlockRows doubles, zero padded; shared so derived
-  /// mirrors (WithoutRow) cost no copies.
-  std::shared_ptr<const std::vector<double>> cells_;
-  const double* cell_base_ = nullptr;
-  /// Per-block live bitmaps; null for dense mirrors.
-  std::shared_ptr<const std::vector<uint64_t>> mask_;
-  /// Per-block live-lane prefix sums; set iff mask_ is.
-  std::shared_ptr<const std::vector<uint32_t>> live_prefix_;
-  /// num_blocks_ * 2 * d_ doubles: per block, d_ column maxima then d_
-  /// column minima (conservative — see block_max()); shared so WithoutRow
-  /// mirrors inherit their base's bounds for free.
-  std::shared_ptr<const std::vector<double>> bounds_;
-  const double* bounds_base_ = nullptr;
+  /// num_blocks_ * d_ * kBlockRows doubles, zero padded.
+  std::vector<double> cells_;
+  /// num_blocks_ * d_ doubles: per block, the d_ column maxima.
+  std::vector<double> maxs_;
 };
 
 }  // namespace data

@@ -3,7 +3,6 @@
 #include <unordered_set>
 
 #include "common/parallel.h"
-#include "core/evaluator.h"
 #include "core/kset_graph.h"
 #include "lp/separation.h"
 #include "topk/rank.h"
@@ -11,12 +10,6 @@
 
 namespace rrr {
 namespace eval {
-
-Result<int64_t> ExactRankRegret2D(const data::Dataset& dataset,
-                                  const std::vector<int32_t>& subset) {
-  // Implementation shared with the engine facade (core/evaluator.h).
-  return core::SweepExactRankRegret2D(dataset, subset);
-}
 
 Result<RankRegretCertificate> ExactRankRegretWithinK(
     const data::Dataset& dataset, const std::vector<int32_t>& subset,
@@ -85,17 +78,6 @@ Result<RankRegretCertificate> ExactRankRegretWithinK(
   }
   cert.within_k = true;
   return cert;
-}
-
-Result<int64_t> SampledRankRegret(const data::Dataset& dataset,
-                                  const std::vector<int32_t>& subset,
-                                  const SampledRankRegretOptions& options) {
-  // Implementation shared with the engine facade (core/evaluator.h).
-  core::SampledRegretOptions core_options;
-  core_options.num_functions = options.num_functions;
-  core_options.seed = options.seed;
-  core_options.threads = options.threads;
-  return core::SampledRankRegretEstimate(dataset, subset, core_options);
 }
 
 }  // namespace eval

@@ -15,37 +15,6 @@ class CandidateIndex;
 
 namespace eval {
 
-/// \brief Exact rank-regret of `subset` over all 2D linear ranking
-/// functions: max over theta in [0, pi/2] of the best subset rank
-/// (Definition 2 evaluated exactly).
-///
-/// One angular sweep, tracking the subset's best position incrementally
-/// across every rank exchange. O(E log n).
-Result<int64_t> ExactRankRegret2D(const data::Dataset& dataset,
-                                  const std::vector<int32_t>& subset);
-
-/// Options for the sampled multi-dimensional estimator.
-struct SampledRankRegretOptions {
-  /// Ranking functions drawn uniformly from the first orthant of the unit
-  /// sphere (the paper's Section 6.1 uses 10,000).
-  size_t num_functions = 10000;
-  uint64_t seed = 23;
-  /// Worker threads for the per-function rank scans: 0 = hardware
-  /// concurrency, 1 = serial. The estimate is a max over draws from one
-  /// seeded Rng, so the result is identical for every thread count.
-  size_t threads = 0;
-};
-
-/// \brief Monte-Carlo lower bound on the rank-regret of `subset`: the max
-/// over sampled functions of the subset's best rank.
-///
-/// This is the paper's measurement protocol for d > 2 (exact evaluation
-/// would need the full dual arrangement). A reported value r means some
-/// sampled function had regret r; the true max can only be larger.
-Result<int64_t> SampledRankRegret(
-    const data::Dataset& dataset, const std::vector<int32_t>& subset,
-    const SampledRankRegretOptions& options = {});
-
 /// Outcome of an exact bounded-rank-regret decision (any dimension).
 struct RankRegretCertificate {
   /// True iff RR_L(subset) <= k over ALL linear ranking functions.

@@ -168,17 +168,14 @@ void AccumulateScanCounters(const ScanStats& stats) {
   CommitScanStats(stats, nullptr);
 }
 
-double BlockUpperBound(const double* weights, size_t d, const double* maxs,
-                       const double* mins) {
+double BlockUpperBound(const double* weights, size_t d, const double* maxs) {
   // The exact lane-score operation sequence — 0.0 seed, ascending j,
-  // separate mul and add — with each row term replaced by its sign-matched
-  // bound. Rounding to nearest is monotone in each operand, so by induction
-  // the fold stays >= every lane's fold at the bit level; no epsilon.
+  // separate mul and add — with each row term replaced by its bound (the
+  // column max, since no weight is negative). Rounding to nearest is
+  // monotone in each operand, so by induction the fold stays >= every
+  // lane's fold at the bit level; no epsilon.
   double ub = 0.0;
-  for (size_t j = 0; j < d; ++j) {
-    const double w = weights[j];
-    ub += w * (w >= 0.0 ? maxs[j] : mins[j]);
-  }
+  for (size_t j = 0; j < d; ++j) ub += weights[j] * maxs[j];
   return ub;
 }
 
@@ -221,22 +218,6 @@ void ScoreAll(const LinearFunction& f, const data::ColumnBlocks& blocks,
   const size_t d = blocks.dims();
   const size_t num_blocks = blocks.num_blocks();
   double buf[kBlockRows];
-  if (blocks.masked()) {
-    // Dead lanes are scored like padding and dropped in the compaction
-    // copy; live lanes land at their compacted ids. Each surviving score
-    // went through the same per-lane arithmetic as in a dense mirror, so
-    // the output is bit-identical to ScoreAll over a fresh dense build.
-    for (size_t b = 0; b < num_blocks; ++b) {
-      ScoreBlock(w, d, blocks.block(b), buf);
-      const uint64_t mask = blocks.block_mask(b);
-      const size_t rows = blocks.block_rows(b);
-      double* dst = out + blocks.live_before(b);
-      for (size_t lane = 0; lane < rows; ++lane) {
-        if ((mask >> lane) & 1) *dst++ = buf[lane];
-      }
-    }
-    return;
-  }
   for (size_t b = 0; b < num_blocks; ++b) {
     const size_t rows = blocks.block_rows(b);
     if (rows == kBlockRows) {
@@ -271,7 +252,7 @@ bool LanePasses(double s, double x) {
 }
 
 /// The 64 lane results of `kTest` over a scored block as a bitmap (bit
-/// `lane` for buf[lane]), padding and dead lanes included — callers AND in
+/// `lane` for buf[lane]), padding lanes included — callers AND in
 /// block_mask(). The AVX2 tier compares four lanes at a time with the
 /// matching IEEE predicate (NLT_UQ, GT_OQ, EQ_OQ: the same NaN outcomes as
 /// the scalar operators), so both tiers return the same bits.
@@ -296,7 +277,7 @@ uint64_t LaneMask(const double* buf, double x) {
   return mask;
 }
 
-/// One selection candidate: a lane's score and its (compacted) row id.
+/// One selection candidate: a lane's score and its row id.
 struct Scored {
   double score;
   int32_t id;
@@ -338,7 +319,6 @@ void SelectTopK(const data::ColumnBlocks& blocks, const LinearFunction& f,
   const double* w = f.weights().data();
   const size_t d = blocks.dims();
   const bool use_skip = blocks.has_block_bounds();
-  const bool masked = blocks.masked();
   const size_t flush_at = k + std::max(k, kBlockRows);
   ScanStats local;
   best->clear();
@@ -353,25 +333,18 @@ void SelectTopK(const data::ColumnBlocks& blocks, const LinearFunction& f,
     // that wins by smaller id, so ties always scan (the bit-identity
     // contract's tie-order caveat).
     if (use_skip && have_thr &&
-        BlockUpperBound(w, d, blocks.block_max(b), blocks.block_min(b)) <
-            thr.score) {
+        BlockUpperBound(w, d, blocks.block_max(b)) < thr.score) {
       ++local.blocks_skipped;
       continue;
     }
     ++local.blocks_scanned;
     ScoreBlock(w, d, blocks.block(b), buf);
-    const uint64_t live = blocks.block_mask(b);
-    uint64_t pass = live;
+    uint64_t pass = blocks.block_mask(b);
     if (have_thr) pass &= LaneMask<LaneTest::kNotBelow>(buf, thr.score);
-    // Live lanes in physical order carry consecutive compacted ids; for
-    // dense mirrors that degenerates to base + lane.
-    const int32_t base = static_cast<int32_t>(blocks.live_before(b));
+    const int32_t base = static_cast<int32_t>(b * kBlockRows);
     for (; pass != 0; pass &= pass - 1) {
       const int lane = __builtin_ctzll(pass);
-      const uint64_t below = (uint64_t{1} << lane) - 1;
-      const Scored s{buf[lane],
-                     base + (masked ? __builtin_popcountll(live & below)
-                                    : lane)};
+      const Scored s{buf[lane], base + lane};
       if (!have_thr || Before{}(s, thr)) best->push_back(s);
     }
     if (best->size() >= flush_at) {
@@ -447,24 +420,19 @@ double MaxScore(const data::ColumnBlocks& blocks, const LinearFunction& f,
   // poisoned max. All-NaN input yields -infinity.
   double best = -std::numeric_limits<double>::infinity();
   const size_t num_blocks = blocks.num_blocks();
-  const bool masked = blocks.masked();
   for (size_t b = 0; b < num_blocks; ++b) {
     // ub < best means no lane can beat the running max (ties lose the
     // strict > fold anyway, but skipping only on strict loss keeps one rule
     // everywhere); ub of NaN (poisoned bounds under a zero weight) fails
     // the < and scans.
-    if (use_skip &&
-        BlockUpperBound(w, d, blocks.block_max(b), blocks.block_min(b)) <
-            best) {
+    if (use_skip && BlockUpperBound(w, d, blocks.block_max(b)) < best) {
       ++local.blocks_skipped;
       continue;
     }
     ++local.blocks_scanned;
     ScoreBlock(w, d, blocks.block(b), buf);
     const size_t rows = blocks.block_rows(b);
-    const uint64_t mask = blocks.block_mask(b);
     for (size_t lane = 0; lane < rows; ++lane) {
-      if (masked && !((mask >> lane) & 1)) continue;
       if (buf[lane] > best) best = buf[lane];
     }
   }
@@ -484,32 +452,25 @@ int64_t CountOutranking(const data::ColumnBlocks& blocks,
   double buf[kBlockRows];
   int64_t count = 0;
   const size_t num_blocks = blocks.num_blocks();
-  const bool masked = blocks.masked();
   for (size_t b = 0; b < num_blocks; ++b) {
     // ub < score: every lane scores strictly below the reference, and
     // outranking needs s > score or a tie — a strict loss rules both out.
     // ub == score must scan (a tying lane with row_id < id outranks).
-    if (use_skip &&
-        BlockUpperBound(w, d, blocks.block_max(b), blocks.block_min(b)) <
-            score) {
+    if (use_skip && BlockUpperBound(w, d, blocks.block_max(b)) < score) {
       ++local.blocks_skipped;
       continue;
     }
     ++local.blocks_scanned;
     ScoreBlock(w, d, blocks.block(b), buf);
     // Outranks(s, row_id, score, id): strict winners by popcount, then the
-    // few tying lanes by id. Padding and dead lanes drop with the live mask.
+    // few tying lanes by id. Padding lanes drop with the row mask.
     const uint64_t live = blocks.block_mask(b);
     count += __builtin_popcountll(LaneMask<LaneTest::kAbove>(buf, score) &
                                   live);
-    const int32_t base = static_cast<int32_t>(blocks.live_before(b));
+    const int32_t base = static_cast<int32_t>(b * kBlockRows);
     for (uint64_t tie = LaneMask<LaneTest::kEqual>(buf, score) & live;
          tie != 0; tie &= tie - 1) {
-      const int lane = __builtin_ctzll(tie);
-      const uint64_t below = (uint64_t{1} << lane) - 1;
-      if (base + (masked ? __builtin_popcountll(live & below) : lane) < id) {
-        ++count;
-      }
+      if (base + __builtin_ctzll(tie) < id) ++count;
     }
   }
   CommitScanStats(local, stats);

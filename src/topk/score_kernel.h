@@ -98,16 +98,16 @@ ScanStats ScanCountersSnapshot();
 void AccumulateScanCounters(const ScanStats& stats);
 
 /// \brief Upper bound on any lane score of a block with column maxima
-/// `maxs` and minima `mins`: sum_j w[j] * (w[j] >= 0 ? maxs[j] : mins[j]),
-/// folded seed-0.0 in ascending j with separate mul and add.
+/// `maxs`: sum_j w[j] * maxs[j], folded seed-0.0 in ascending j with
+/// separate mul and add. Weights must be non-negative (every
+/// LinearFunction's are).
 ///
 /// Because that is the exact operation sequence of the lane scores and
 /// round-to-nearest is monotone, the result is >= every lane score *as
 /// computed*, bit-level — no epsilon slop needed. NaN-poisoned bounds
 /// (columns containing NaN) yield +inf or NaN, which never satisfies a
 /// strict < threshold test, so poisoned blocks always scan.
-double BlockUpperBound(const double* weights, size_t d, const double* maxs,
-                       const double* mins);
+double BlockUpperBound(const double* weights, size_t d, const double* maxs);
 
 /// \brief Scores one block: out[lane] = sum_j weights[j] * cols[j * 64 +
 /// lane] for all data::ColumnBlocks::kBlockRows lanes, j ascending.
@@ -123,11 +123,7 @@ void ScoreBlock(const double* weights, size_t d, const double* cols,
                 double* out);
 
 /// Scores every mirrored row: out[i] = f.Score(row i) for i in
-/// [0, blocks.rows()), bit-identically. Masked mirrors (rows deleted after
-/// the mirror was built — see data::ColumnBlocks::WithoutRow) are honored
-/// here and in every entry point below: dead lanes are skipped and live
-/// lanes map to compacted ids, so results stay bit-identical to a fresh
-/// dense mirror of the same source.
+/// [0, blocks.rows()), bit-identically.
 void ScoreAll(const LinearFunction& f, const data::ColumnBlocks& blocks,
               double* out);
 

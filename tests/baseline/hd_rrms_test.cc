@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/evaluator.h"
 #include "core/mdrc.h"
 #include "data/generators.h"
-#include "eval/rank_regret.h"
 #include "eval/regret_ratio.h"
 #include "test_util.h"
 
@@ -143,11 +143,12 @@ TEST(HdRrmsTest, ScoreRegretSmallButRankRegretUnbounded) {
   Result<HdRrmsResult> hd = SolveHdRrms(ds, mdrc->size(), hd_opts);
   ASSERT_TRUE(hd.ok());
 
-  eval::SampledRankRegretOptions rank_opts;
+  core::SampledRegretOptions rank_opts;
   rank_opts.num_functions = 2000;
   Result<int64_t> hd_rank =
-      eval::SampledRankRegret(ds, hd->representative, rank_opts);
-  Result<int64_t> mdrc_rank = eval::SampledRankRegret(ds, *mdrc, rank_opts);
+      core::SampledRankRegretEstimate(ds, hd->representative, rank_opts);
+  Result<int64_t> mdrc_rank =
+      core::SampledRankRegretEstimate(ds, *mdrc, rank_opts);
   ASSERT_TRUE(hd_rank.ok());
   ASSERT_TRUE(mdrc_rank.ok());
   EXPECT_LE(*mdrc_rank, static_cast<int64_t>(3 * k));  // d*k guarantee

@@ -81,7 +81,6 @@ TEST(ArtifactEviction, MirrorExistsRightAfterCreate) {
   EXPECT_EQ(mirror.source(), &prepared->dataset());
   EXPECT_EQ(mirror.rows(), prepared->size());
   EXPECT_EQ(mirror.dims(), prepared->dims());
-  EXPECT_FALSE(mirror.masked());
   EXPECT_TRUE(mirror.has_block_bounds());
   // Counted with the rows, not in the evictable pool.
   const PreparedDataset::ArtifactBytes bytes = prepared->ApproxArtifactBytes();

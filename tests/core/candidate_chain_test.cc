@@ -235,12 +235,11 @@ TEST(CandidateChainTest, ServedBandsKeepTheContractAndAnswerBitIdentically) {
             }
             for (const std::vector<int32_t>* subset : {&near, &far}) {
               const int64_t want = topk::MinRankOfSubset(full, f, *subset);
-              EXPECT_EQ(served->MinRankOfSubset(f, *subset, nullptr,
-                                                &p->column_blocks()),
-                        want)
+              EXPECT_EQ(
+                  served->MinRankOfSubset(f, *subset, p->column_blocks()),
+                  want)
                   << where;
-              EXPECT_EQ(band->MinRankOfSubset(f, *subset, nullptr, &full),
-                        want)
+              EXPECT_EQ(band->MinRankOfSubset(f, *subset, full), want)
                   << where;
             }
           }

@@ -13,7 +13,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/candidate_index.h"
@@ -414,9 +416,9 @@ TEST(DynamicMemoTest, SolveDualProbesShareOneSnapshot) {
 }
 
 /// Every published version owns a columnar mirror of exactly its rows:
-/// bound to its own dataset, and scanning like a fresh dense Build of
-/// them — whether the mirror was carried forward (appended tiles, masked
-/// lanes) or re-transposed at publication.
+/// bound to its own dataset, laid out cell for cell like a fresh Build of
+/// them (padding included), with the same block maxima, and scanning like
+/// it.
 void ExpectMirrorMatchesFreshBuild(const PreparedDataset& version,
                                    const std::string& tag) {
   const data::Dataset& rows = version.dataset();
@@ -427,6 +429,19 @@ void ExpectMirrorMatchesFreshBuild(const PreparedDataset& version,
   const data::ColumnBlocks fresh = rrr::testing::MustBuildBlocks(rows);
   const size_t n = rows.size();
   const size_t d = rows.dims();
+  ASSERT_EQ(mirror.num_blocks(), fresh.num_blocks()) << tag;
+  constexpr size_t kBlockRows = data::ColumnBlocks::kBlockRows;
+  for (size_t b = 0; b < mirror.num_blocks(); ++b) {
+    EXPECT_EQ(std::vector<double>(mirror.block(b),
+                                  mirror.block(b) + d * kBlockRows),
+              std::vector<double>(fresh.block(b),
+                                  fresh.block(b) + d * kBlockRows))
+        << tag << " block " << b;
+    EXPECT_EQ(std::vector<double>(mirror.block_max(b),
+                                  mirror.block_max(b) + d),
+              std::vector<double>(fresh.block_max(b), fresh.block_max(b) + d))
+        << tag << " block " << b;
+  }
   std::vector<topk::LinearFunction> probes;
   for (size_t axis = 0; axis < d; ++axis) {
     geometry::Vec w(d, 0.0);
@@ -459,53 +474,43 @@ std::shared_ptr<DynamicDataset> MakeDynamic() {
   return std::move(dyn).value();
 }
 
-TEST(DynamicMirrorTest, AppendPublishesAnAppendedMirror) {
+TEST(DynamicMirrorTest, AppendsAndDeletesPublishFreshDenseMirrors) {
   std::shared_ptr<DynamicDataset> dyn = MakeDynamic();
   ExpectMirrorMatchesFreshBuild(*dyn->Snapshot(), "initial");
-  ASSERT_TRUE(dyn->Insert({0.3, 0.9, 0.1}).ok());
-  ExpectMirrorMatchesFreshBuild(*dyn->Snapshot(), "insert");
-  ASSERT_TRUE(
-      dyn->BatchAppend(rrr::testing::FamilyRows(DataFamily::kUniform, 70, 3,
-                                                23))
-          .ok());
-  ExpectMirrorMatchesFreshBuild(*dyn->Snapshot(), "batch-append");
-}
-
-TEST(DynamicMirrorTest, DeleteMasksThenCompactsPastMaxDeadFraction) {
-  // The compaction threshold is fixed: a mirror with more than half of its
-  // physical lanes dead is not carried forward (kMaxDeadFraction in
-  // core/dataset_updates.cc).
-  constexpr double kMaxDeadFraction = 0.5;
-  std::shared_ptr<DynamicDataset> dyn = MakeDynamic();
-  // Below the threshold the carried-forward mirror masks the dead lane.
-  ASSERT_TRUE(dyn->Delete(70).ok());
-  EXPECT_TRUE(dyn->Snapshot()->column_blocks().masked());
-  ExpectMirrorMatchesFreshBuild(*dyn->Snapshot(), "delete 1");
-  // An append on a masked base keeps the mask: 151 physical lanes, 1 dead.
-  ASSERT_TRUE(dyn->Insert({0.5, 0.5, 0.5}).ok());
-  EXPECT_TRUE(dyn->Snapshot()->column_blocks().masked());
-  ExpectMirrorMatchesFreshBuild(*dyn->Snapshot(), "append on masked");
-  // Delete rows until the dead lanes pass the threshold: the mirror stays
-  // masked up to 75 dead lanes of 151 and re-transposes densely at 76.
-  const size_t physical = 151;
-  size_t dead = 1;
-  while (true) {
-    ASSERT_TRUE(dyn->Delete(static_cast<int32_t>(dead % 7)).ok());
-    ++dead;
-    const std::string tag = "dead " + std::to_string(dead);
-    const bool past = static_cast<double>(dead) /
-                          static_cast<double>(physical) >
-                      kMaxDeadFraction;
-    EXPECT_EQ(dyn->Snapshot()->column_blocks().masked(), !past) << tag;
-    ExpectMirrorMatchesFreshBuild(*dyn->Snapshot(), tag);
-    if (past) break;
+  // (rows appended, rows deleted) per phase: the size walks 150 -> 151 ->
+  // 221 -> 183 -> 188 -> 118 -> 181 -> 311, crossing the 128-, 192- and
+  // 256-row tile boundaries in both directions.
+  const std::vector<std::pair<size_t, size_t>> phases = {
+      {1, 0}, {70, 3}, {0, 35}, {5, 0}, {0, 70}, {64, 1}, {130, 0}};
+  std::set<size_t> tile_counts;
+  size_t step = 0;
+  for (const auto& [appended, deleted] : phases) {
+    if (appended == 1) {
+      ASSERT_TRUE(dyn->Insert({0.3, 0.9, 0.1}).ok());
+    } else if (appended > 0) {
+      ASSERT_TRUE(dyn->BatchAppend(rrr::testing::FamilyRows(
+                                       DataFamily::kUniform, appended, 3,
+                                       23 + step))
+                      .ok());
+    }
+    if (appended > 0) {
+      const std::string tag = "step " + std::to_string(step++) + " append " +
+                              std::to_string(appended);
+      ExpectMirrorMatchesFreshBuild(*dyn->Snapshot(), tag);
+      tile_counts.insert(dyn->Snapshot()->column_blocks().num_blocks());
+    }
+    for (size_t i = 0; i < deleted; ++i) {
+      const size_t n = dyn->size();
+      const int32_t id = static_cast<int32_t>((step * 37) % n);
+      ASSERT_TRUE(dyn->Delete(id).ok());
+      const std::string tag = "step " + std::to_string(step++) +
+                              " delete " + std::to_string(id);
+      ExpectMirrorMatchesFreshBuild(*dyn->Snapshot(), tag);
+      tile_counts.insert(dyn->Snapshot()->column_blocks().num_blocks());
+    }
   }
-  EXPECT_EQ(dead, 76u);
-  // The compacted mirror is dense, so the next delete masks it afresh.
-  ASSERT_TRUE(dyn->Delete(0).ok());
-  EXPECT_TRUE(dyn->Snapshot()->column_blocks().masked());
-  EXPECT_EQ(dyn->Snapshot()->column_blocks().dead_fraction(), 1.0 / 75.0);
-  ExpectMirrorMatchesFreshBuild(*dyn->Snapshot(), "delete after compaction");
+  EXPECT_EQ(dyn->size(), 311u);
+  EXPECT_EQ(tile_counts, (std::set<size_t>{2, 3, 4, 5}));
 }
 
 /// The candidate-index options given to DynamicDataset::Create govern every

@@ -16,7 +16,6 @@
 #include "core/mdrrr.h"
 #include "core/rrr2d.h"
 #include "data/generators.h"
-#include "eval/rank_regret.h"
 #include "test_util.h"
 
 namespace rrr {
@@ -452,7 +451,7 @@ TEST(EngineEvaluateTest, ExactIn2dMatchesEvalModule) {
   Result<EvalReport> report = engine->Evaluate(solved->representative, 4);
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->exact);
-  Result<int64_t> direct = eval::ExactRankRegret2D(ds, solved->representative);
+  Result<int64_t> direct = SweepExactRankRegret2D(ds, solved->representative);
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ(report->rank_regret, *direct);
   EXPECT_EQ(report->within_k, report->rank_regret <= 4);

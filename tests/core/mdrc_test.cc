@@ -12,9 +12,9 @@
 
 #include "common/exec_context.h"
 #include "core/candidate_index.h"
+#include "core/evaluator.h"
 #include "data/generators.h"
 #include "geometry/angles.h"
-#include "eval/rank_regret.h"
 #include "geometry/convex_hull.h"
 #include "test_util.h"
 #include "topk/score_kernel.h"
@@ -54,7 +54,7 @@ TEST(MdrcTest, PaperExampleKTwoSmallOutputWithBoundedRegret) {
   Result<std::vector<int32_t>> rep = SolveMdrc(ds, 2);
   ASSERT_TRUE(rep.ok());
   EXPECT_LE(rep->size(), 3u);
-  Result<int64_t> regret = eval::ExactRankRegret2D(ds, *rep);
+  Result<int64_t> regret = SweepExactRankRegret2D(ds, *rep);
   ASSERT_TRUE(regret.ok());
   EXPECT_LE(*regret, 4);  // d*k = 2*2 (Theorem 6)
 }
@@ -79,7 +79,7 @@ TEST_P(MdrcGuarantee2DTest, ExactRegretWithinDK) {
     EXPECT_EQ(stats.depth_cap_leaves, 0u)
         << "non-degenerate data hit the cap";
   }
-  Result<int64_t> regret = eval::ExactRankRegret2D(ds, *rep);
+  Result<int64_t> regret = SweepExactRankRegret2D(ds, *rep);
   ASSERT_TRUE(regret.ok());
   EXPECT_LE(*regret, 2 * k) << "Theorem 6 (d=2) violated";
 }
@@ -99,9 +99,9 @@ TEST_P(MdrcGuaranteeMDTest, SampledRegretWithinDK) {
       300, static_cast<size_t>(d), static_cast<uint64_t>(seed));
   Result<std::vector<int32_t>> rep = SolveMdrc(ds, static_cast<size_t>(k));
   ASSERT_TRUE(rep.ok());
-  eval::SampledRankRegretOptions eval_opts;
+  SampledRegretOptions eval_opts;
   eval_opts.num_functions = 3000;
-  Result<int64_t> regret = eval::SampledRankRegret(ds, *rep, eval_opts);
+  Result<int64_t> regret = SampledRankRegretEstimate(ds, *rep, eval_opts);
   ASSERT_TRUE(regret.ok());
   EXPECT_LE(*regret, static_cast<int64_t>(d) * k);
 }
@@ -204,11 +204,11 @@ TEST(MdrcTest, LeafReuseOnlyShrinksTheOutput) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_LE(a->size(), b->size());
-  eval::SampledRankRegretOptions eval_opts;
+  SampledRegretOptions eval_opts;
   eval_opts.num_functions = 1500;
-  EXPECT_LE(*eval::SampledRankRegret(ds, *a, eval_opts),
+  EXPECT_LE(*SampledRankRegretEstimate(ds, *a, eval_opts),
             static_cast<int64_t>(4 * k));
-  EXPECT_LE(*eval::SampledRankRegret(ds, *b, eval_opts),
+  EXPECT_LE(*SampledRankRegretEstimate(ds, *b, eval_opts),
             static_cast<int64_t>(4 * k));
 }
 

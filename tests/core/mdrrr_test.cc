@@ -2,10 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/evaluator.h"
 #include "core/kset_enum2d.h"
 #include "core/kset_graph.h"
 #include "data/generators.h"
-#include "eval/rank_regret.h"
 #include "hitting/greedy.h"
 #include "test_util.h"
 
@@ -38,7 +38,7 @@ TEST(MdrrrTest, PaperExampleHitsAllTwoSets) {
     EXPECT_TRUE(ksets->ToSetSystem().IsHit(*rep));
     // Exact guarantee (Section 5.2): rank-regret <= k with the complete
     // k-set collection.
-    Result<int64_t> regret = eval::ExactRankRegret2D(ds, *rep);
+    Result<int64_t> regret = SweepExactRankRegret2D(ds, *rep);
     ASSERT_TRUE(regret.ok());
     EXPECT_LE(*regret, 2);
   }
@@ -56,7 +56,7 @@ TEST_P(MdrrrGuaranteeTest, ExactCollectionGivesRankRegretAtMostK) {
   ASSERT_TRUE(ksets.ok());
   Result<std::vector<int32_t>> rep = SolveMdrrr(ds, *ksets);
   ASSERT_TRUE(rep.ok());
-  Result<int64_t> regret = eval::ExactRankRegret2D(ds, *rep);
+  Result<int64_t> regret = SweepExactRankRegret2D(ds, *rep);
   ASSERT_TRUE(regret.ok());
   EXPECT_LE(*regret, k);
 }
@@ -73,9 +73,9 @@ TEST(MdrrrTest, ThreeDExactCollectionSatisfiesSampledRegret) {
   ASSERT_TRUE(ksets.ok());
   Result<std::vector<int32_t>> rep = SolveMdrrr(ds, *ksets);
   ASSERT_TRUE(rep.ok());
-  eval::SampledRankRegretOptions eval_opts;
+  SampledRegretOptions eval_opts;
   eval_opts.num_functions = 5000;
-  Result<int64_t> regret = eval::SampledRankRegret(ds, *rep, eval_opts);
+  Result<int64_t> regret = SampledRankRegretEstimate(ds, *rep, eval_opts);
   ASSERT_TRUE(regret.ok());
   EXPECT_LE(*regret, static_cast<int64_t>(k));
 }
@@ -92,10 +92,10 @@ TEST(MdrrrTest, SampledPipelineHitsItsOwnSample) {
   EXPECT_TRUE(sample->ksets.ToSetSystem().IsHit(*rep));
   // Regret measured with the *same* function distribution stays around k;
   // allow slack for k-sets the sampler missed (Section 5.2.1).
-  eval::SampledRankRegretOptions eval_opts;
+  SampledRegretOptions eval_opts;
   eval_opts.num_functions = 2000;
   eval_opts.seed = 999;
-  Result<int64_t> regret = eval::SampledRankRegret(ds, *rep, eval_opts);
+  Result<int64_t> regret = SampledRankRegretEstimate(ds, *rep, eval_opts);
   ASSERT_TRUE(regret.ok());
   EXPECT_LE(*regret, static_cast<int64_t>(2 * k));
 }

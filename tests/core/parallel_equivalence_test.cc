@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/parallel.h"
+#include "core/evaluator.h"
 #include "core/kset_sampler.h"
 #include "core/mdrc.h"
 #include "core/mdrrr.h"
@@ -143,13 +144,13 @@ TEST(ParallelEquivalenceTest, MdrrrIdenticalAcrossThreadCounts) {
 TEST(ParallelEquivalenceTest, SampledRankRegretIdenticalAcrossThreadCounts) {
   const data::Dataset ds = data::GenerateUniform(800, 4, 5);
   const std::vector<int32_t> subset = {1, 100, 250, 600};
-  eval::SampledRankRegretOptions serial;
+  SampledRegretOptions serial;
   serial.num_functions = 3000;
   serial.threads = 1;
-  eval::SampledRankRegretOptions parallel = serial;
+  SampledRegretOptions parallel = serial;
   parallel.threads = kThreads;
-  Result<int64_t> a = eval::SampledRankRegret(ds, subset, serial);
-  Result<int64_t> b = eval::SampledRankRegret(ds, subset, parallel);
+  Result<int64_t> a = SampledRankRegretEstimate(ds, subset, serial);
+  Result<int64_t> b = SampledRankRegretEstimate(ds, subset, parallel);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(*a, *b);

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/evaluator.h"
 #include "data/generators.h"
-#include "eval/rank_regret.h"
 #include "test_util.h"
 
 namespace rrr {
@@ -28,7 +28,7 @@ TEST(Rrr2dTest, PaperExampleKTwo) {
   Result<std::vector<int32_t>> rep = Solve2dRrr(ds, 2);
   ASSERT_TRUE(rep.ok());
   EXPECT_EQ(rep->size(), 2u);
-  Result<int64_t> regret = eval::ExactRankRegret2D(ds, *rep);
+  Result<int64_t> regret = SweepExactRankRegret2D(ds, *rep);
   ASSERT_TRUE(regret.ok());
   EXPECT_LE(*regret, 4);  // 2k bound (Theorem 4)
 }
@@ -76,7 +76,7 @@ TEST_P(Rrr2dGuaranteesTest, RegretWithinTwoKAndIdsValid) {
     EXPECT_GE(id, 0);
     EXPECT_LT(static_cast<size_t>(id), ds.size());
   }
-  Result<int64_t> regret = eval::ExactRankRegret2D(ds, *rep);
+  Result<int64_t> regret = SweepExactRankRegret2D(ds, *rep);
   ASSERT_TRUE(regret.ok());
   EXPECT_LE(*regret, 2 * k) << "Theorem 4 violated";
 }

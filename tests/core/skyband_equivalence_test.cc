@@ -293,6 +293,7 @@ TEST(SkybandEquivalenceTest, MinRankOfSubsetExactIncludingFallbacks) {
   for (const Family& family : Families(300, 3, 41)) {
     const size_t k = 8;
     const auto index = MustBuild(family.data, k);
+    const data::ColumnBlocks blocks = testing::MustBuildBlocks(family.data);
     Rng rng(5);
     for (const topk::LinearFunction& f : ProbeFunctions(3, 43)) {
       // Subsets drawn from the whole id space: members are usually outside
@@ -305,7 +306,7 @@ TEST(SkybandEquivalenceTest, MinRankOfSubsetExactIncludingFallbacks) {
           subset.push_back(static_cast<int32_t>(rng.UniformInt(
               0, static_cast<int64_t>(family.data.size()) - 1)));
         }
-        EXPECT_EQ(index->MinRankOfSubset(f, subset),
+        EXPECT_EQ(index->MinRankOfSubset(f, subset, blocks),
                   testing::BruteMinRankOfSubset(family.data, f, subset))
             << family.name;
       }

@@ -4,8 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/evaluator.h"
 #include "data/generators.h"
-#include "eval/rank_regret.h"
 #include "geometry/convex_hull.h"
 #include "test_util.h"
 
@@ -83,10 +83,10 @@ TEST(SolverTest, AutoPicksExactMaximaForKOneInHighDims) {
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ(res->representative, *direct);
   // And it is a true order-1 representative on sampled functions.
-  eval::SampledRankRegretOptions eval_opts;
+  SampledRegretOptions eval_opts;
   eval_opts.num_functions = 2000;
   Result<int64_t> regret =
-      eval::SampledRankRegret(ds, res->representative, eval_opts);
+      SampledRankRegretEstimate(ds, res->representative, eval_opts);
   ASSERT_TRUE(regret.ok());
   EXPECT_EQ(*regret, 1);
 }
@@ -220,7 +220,7 @@ TEST(SolverTest, AllAlgorithmsMeetTheirBoundsOnOneDataset) {
     Result<RrrResult> res = FindRankRegretRepresentative(ds, opts);
     ASSERT_TRUE(res.ok()) << AlgorithmName(algorithm);
     Result<int64_t> regret =
-        eval::ExactRankRegret2D(ds, res->representative);
+        SweepExactRankRegret2D(ds, res->representative);
     ASSERT_TRUE(regret.ok());
     // Weakest common guarantee: d*k = 2k (2DRRR promises 2k, MDRC d*k;
     // MDRRR can exceed k only on k-sets its sample missed).

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/evaluator.h"
 #include "core/kset_enum2d.h"
 #include "core/kset_graph.h"
 #include "core/mdrc.h"
@@ -16,7 +17,6 @@
 #include "core/sweep.h"
 #include "geometry/angles.h"
 #include "data/generators.h"
-#include "eval/rank_regret.h"
 #include "topk/scoring.h"
 #include "test_util.h"
 
@@ -182,7 +182,7 @@ TEST(TieBreakTest, MdrcHandlesDuplicateHeavyDataConsistently) {
     MdrcStats stats;
     Result<std::vector<int32_t>> rep = SolveMdrc(ds, k, {}, &stats);
     ASSERT_TRUE(rep.ok());
-    Result<int64_t> regret = eval::ExactRankRegret2D(ds, *rep);
+    Result<int64_t> regret = SweepExactRankRegret2D(ds, *rep);
     ASSERT_TRUE(regret.ok());
     EXPECT_LE(*regret, static_cast<int64_t>(2 * k));
   }
@@ -209,8 +209,8 @@ TEST(TieBreakTest, ThetaZeroEndpointUsesTheIdTieBreak) {
   // Regression: the exact evaluator must see rank 2 for {1} at theta = 0
   // (it used to report 1, silently using the theta -> 0+ limit order at
   // the closed endpoint).
-  EXPECT_EQ(*eval::ExactRankRegret2D(ds, {1}), 2);
-  EXPECT_EQ(*eval::ExactRankRegret2D(ds, {0}), 2);  // rank 2 for theta > 0
+  EXPECT_EQ(*SweepExactRankRegret2D(ds, {1}), 2);
+  EXPECT_EQ(*SweepExactRankRegret2D(ds, {0}), 2);  // rank 2 for theta > 0
 }
 
 TEST(TieBreakTest, ThetaHalfPiEndpointUsesTheIdTieBreak) {
@@ -231,8 +231,8 @@ TEST(TieBreakTest, ThetaHalfPiEndpointUsesTheIdTieBreak) {
   EXPECT_EQ(events[0].item_up, 0);
   // Regression: {1} is rank 1 for every theta < pi/2 but rank 2 at the
   // endpoint; the evaluator used to miss the endpoint and report 1.
-  EXPECT_EQ(*eval::ExactRankRegret2D(ds, {1}), 2);
-  EXPECT_EQ(*eval::ExactRankRegret2D(ds, {0}), 2);
+  EXPECT_EQ(*SweepExactRankRegret2D(ds, {1}), 2);
+  EXPECT_EQ(*SweepExactRankRegret2D(ds, {0}), 2);
 }
 
 TEST(TieBreakTest, EndpointKSetsAreEnumerated) {
@@ -260,13 +260,13 @@ TEST(TieBreakTest, TwoDrrrCoversTheEndpointFunctions) {
   Result<std::vector<int32_t>> rep = Solve2dRrr(xtie, 1);
   ASSERT_TRUE(rep.ok());
   EXPECT_EQ(*rep, (std::vector<int32_t>{0, 1}));
-  EXPECT_EQ(*eval::ExactRankRegret2D(xtie, *rep), 1);
+  EXPECT_EQ(*SweepExactRankRegret2D(xtie, *rep), 1);
 
   const data::Dataset ytie = testing::MakeDataset({{0.2, 0.5}, {0.8, 0.5}});
   rep = Solve2dRrr(ytie, 1);
   ASSERT_TRUE(rep.ok());
   EXPECT_EQ(*rep, (std::vector<int32_t>{0, 1}));
-  EXPECT_EQ(*eval::ExactRankRegret2D(ytie, *rep), 1);
+  EXPECT_EQ(*SweepExactRankRegret2D(ytie, *rep), 1);
 
   // Duplicate-heavy data: the cover must satisfy its k under the exact
   // evaluator (which includes both endpoints).
@@ -274,7 +274,7 @@ TEST(TieBreakTest, TwoDrrrCoversTheEndpointFunctions) {
   for (size_t k : {1u, 2u, 3u}) {
     Result<std::vector<int32_t>> cover = Solve2dRrr(ds, k);
     ASSERT_TRUE(cover.ok());
-    EXPECT_LE(*eval::ExactRankRegret2D(ds, *cover),
+    EXPECT_LE(*SweepExactRankRegret2D(ds, *cover),
               static_cast<int64_t>(k))
         << "k=" << k;
   }
@@ -296,9 +296,9 @@ TEST(TieBreakTest, TieCascadesDoNotLeakPhantomOrders) {
        {0.5, 0.5},
        {0.5, 0.4},
        {0.5, 0.85}});
-  EXPECT_EQ(*eval::ExactRankRegret2D(ds, {0, 7}), 2);
-  EXPECT_EQ(*eval::ExactRankRegret2D(ds, {0}), 8);  // bottom for theta > 0
-  EXPECT_EQ(*eval::ExactRankRegret2D(ds, {1}), 2);  // top for theta > 0
+  EXPECT_EQ(*SweepExactRankRegret2D(ds, {0, 7}), 2);
+  EXPECT_EQ(*SweepExactRankRegret2D(ds, {0}), 8);  // bottom for theta > 0
+  EXPECT_EQ(*SweepExactRankRegret2D(ds, {1}), 2);  // top for theta > 0
 
   // Exactly two k-sets exist for every k < n (one per realizable order,
   // and they may coincide); mid-cascade phantom k-sets must not appear.
@@ -353,8 +353,8 @@ TEST(TieBreakTest, DuplicateBandsProduceIdenticalRanksEverywhere) {
     EXPECT_EQ(sets->size(), 1u) << "k=" << k;
   }
   // The exact evaluator sees rank 1 for {0} and rank 2 for {2} alone.
-  EXPECT_EQ(*eval::ExactRankRegret2D(ds, {0}), 1);
-  EXPECT_EQ(*eval::ExactRankRegret2D(ds, {2}), 2);
+  EXPECT_EQ(*SweepExactRankRegret2D(ds, {0}), 1);
+  EXPECT_EQ(*SweepExactRankRegret2D(ds, {2}), 2);
 }
 
 }  // namespace

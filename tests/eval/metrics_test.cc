@@ -4,8 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/evaluator.h"
 #include "data/generators.h"
-#include "eval/rank_regret.h"
 #include "eval/regret_ratio.h"
 #include "test_util.h"
 
@@ -37,10 +37,11 @@ TEST(EvaluateTest, MatchesStandaloneEvaluators) {
   Result<EvaluationReport> report = Evaluate(ds, subset, opts);
   ASSERT_TRUE(report.ok());
 
-  SampledRankRegretOptions rank_opts;
+  core::SampledRegretOptions rank_opts;
   rank_opts.num_functions = 800;
   rank_opts.seed = 99;
-  EXPECT_EQ(report->rank_regret, *SampledRankRegret(ds, subset, rank_opts));
+  EXPECT_EQ(report->rank_regret,
+            *core::SampledRankRegretEstimate(ds, subset, rank_opts));
 
   RegretRatioOptions ratio_opts;
   ratio_opts.num_functions = 800;

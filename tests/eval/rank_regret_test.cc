@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/evaluator.h"
 #include "data/generators.h"
 #include "test_util.h"
 #include "topk/scoring.h"
@@ -16,18 +17,18 @@ namespace {
 
 TEST(ExactRankRegret2DTest, RejectsBadArguments) {
   const data::Dataset ds3 = data::GenerateUniform(10, 3, 1);
-  EXPECT_FALSE(ExactRankRegret2D(ds3, {0}).ok());
+  EXPECT_FALSE(core::SweepExactRankRegret2D(ds3, {0}).ok());
   const data::Dataset ds = data::GenerateUniform(10, 2, 1);
-  EXPECT_FALSE(ExactRankRegret2D(ds, {}).ok());
-  EXPECT_FALSE(ExactRankRegret2D(ds, {100}).ok());
-  EXPECT_FALSE(ExactRankRegret2D(ds, {-1}).ok());
+  EXPECT_FALSE(core::SweepExactRankRegret2D(ds, {}).ok());
+  EXPECT_FALSE(core::SweepExactRankRegret2D(ds, {100}).ok());
+  EXPECT_FALSE(core::SweepExactRankRegret2D(ds, {-1}).ok());
 }
 
 TEST(ExactRankRegret2DTest, FullDatasetHasRegretOne) {
   const data::Dataset ds = data::GenerateUniform(40, 2, 2);
   std::vector<int32_t> all(ds.size());
   std::iota(all.begin(), all.end(), 0);
-  Result<int64_t> regret = ExactRankRegret2D(ds, all);
+  Result<int64_t> regret = core::SweepExactRankRegret2D(ds, all);
   ASSERT_TRUE(regret.ok());
   EXPECT_EQ(*regret, 1);
 }
@@ -35,7 +36,7 @@ TEST(ExactRankRegret2DTest, FullDatasetHasRegretOne) {
 TEST(ExactRankRegret2DTest, DominatingSingletonHasRegretOne) {
   data::Dataset ds = testing::MakeDataset(
       {{0.9, 0.9}, {0.1, 0.2}, {0.3, 0.1}});
-  Result<int64_t> regret = ExactRankRegret2D(ds, {0});
+  Result<int64_t> regret = core::SweepExactRankRegret2D(ds, {0});
   ASSERT_TRUE(regret.ok());
   EXPECT_EQ(*regret, 1);
 }
@@ -44,7 +45,7 @@ TEST(ExactRankRegret2DTest, WorstSingletonHasRegretN) {
   // A point dominated by all others always ranks last.
   data::Dataset ds = testing::MakeDataset(
       {{0.9, 0.9}, {0.8, 0.7}, {0.1, 0.1}});
-  Result<int64_t> regret = ExactRankRegret2D(ds, {2});
+  Result<int64_t> regret = core::SweepExactRankRegret2D(ds, {2});
   ASSERT_TRUE(regret.ok());
   EXPECT_EQ(*regret, 3);
 }
@@ -52,11 +53,11 @@ TEST(ExactRankRegret2DTest, WorstSingletonHasRegretN) {
 TEST(ExactRankRegret2DTest, PaperExampleKnownSubsets) {
   data::Dataset ds = testing::PaperFigure1Dataset();
   // {t7, t3}: t7 covers the x-heavy half, t3 the rest, never worse than 2.
-  Result<int64_t> regret = ExactRankRegret2D(ds, {2, 6});
+  Result<int64_t> regret = core::SweepExactRankRegret2D(ds, {2, 6});
   ASSERT_TRUE(regret.ok());
   EXPECT_EQ(*regret, 2);
   // {t7} alone: at theta = pi/2 (f = x2), t7 ranks 5th.
-  Result<int64_t> alone = ExactRankRegret2D(ds, {6});
+  Result<int64_t> alone = core::SweepExactRankRegret2D(ds, {6});
   ASSERT_TRUE(alone.ok());
   EXPECT_EQ(*alone, 5);
 }
@@ -74,7 +75,7 @@ TEST_P(ExactVsGridTest, SweepMatchesDenseGridEvaluation) {
       {0, static_cast<int32_t>(n / 2)},
       {1, static_cast<int32_t>(n / 3), static_cast<int32_t>(n - 1)}};
   for (const auto& subset : subsets) {
-    Result<int64_t> exact = ExactRankRegret2D(ds, subset);
+    Result<int64_t> exact = core::SweepExactRankRegret2D(ds, subset);
     ASSERT_TRUE(exact.ok());
     // Dense grid lower bound: exact must dominate every sampled angle and
     // be achieved near some angle.
@@ -98,10 +99,10 @@ INSTANTIATE_TEST_SUITE_P(RandomInputs, ExactVsGridTest,
 TEST(SampledRankRegretTest, NeverExceedsExactIn2D) {
   const data::Dataset ds = data::GenerateUniform(60, 2, 3);
   const std::vector<int32_t> subset = {3, 30, 55};
-  Result<int64_t> exact = ExactRankRegret2D(ds, subset);
-  SampledRankRegretOptions opts;
+  Result<int64_t> exact = core::SweepExactRankRegret2D(ds, subset);
+  core::SampledRegretOptions opts;
   opts.num_functions = 3000;
-  Result<int64_t> sampled = SampledRankRegret(ds, subset, opts);
+  Result<int64_t> sampled = core::SampledRankRegretEstimate(ds, subset, opts);
   ASSERT_TRUE(exact.ok());
   ASSERT_TRUE(sampled.ok());
   EXPECT_LE(*sampled, *exact);
@@ -110,11 +111,11 @@ TEST(SampledRankRegretTest, NeverExceedsExactIn2D) {
 
 TEST(SampledRankRegretTest, DeterministicUnderSeed) {
   const data::Dataset ds = data::GenerateUniform(50, 4, 4);
-  SampledRankRegretOptions opts;
+  core::SampledRegretOptions opts;
   opts.seed = 5;
   opts.num_functions = 500;
-  Result<int64_t> a = SampledRankRegret(ds, {1, 2}, opts);
-  Result<int64_t> b = SampledRankRegret(ds, {1, 2}, opts);
+  Result<int64_t> a = core::SampledRankRegretEstimate(ds, {1, 2}, opts);
+  Result<int64_t> b = core::SampledRankRegretEstimate(ds, {1, 2}, opts);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(*a, *b);
@@ -123,12 +124,12 @@ TEST(SampledRankRegretTest, DeterministicUnderSeed) {
 TEST(SampledRankRegretTest, MoreFunctionsOnlyIncreaseTheBound) {
   const data::Dataset ds = data::GenerateUniform(100, 3, 5);
   const std::vector<int32_t> subset = {10, 20};
-  SampledRankRegretOptions few;
+  core::SampledRegretOptions few;
   few.num_functions = 100;
-  SampledRankRegretOptions many;
+  core::SampledRegretOptions many;
   many.num_functions = 5000;
-  Result<int64_t> a = SampledRankRegret(ds, subset, few);
-  Result<int64_t> b = SampledRankRegret(ds, subset, many);
+  Result<int64_t> a = core::SampledRankRegretEstimate(ds, subset, few);
+  Result<int64_t> b = core::SampledRankRegretEstimate(ds, subset, many);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_LE(*a, *b);  // the 100 functions are a prefix of the 5000
@@ -140,7 +141,7 @@ TEST(ExactRankRegretWithinKTest, AgreesWithSweepEvaluatorIn2D) {
     const std::vector<std::vector<int32_t>> subsets = {
         {0}, {2, 9}, {1, 7, 13}};
     for (const std::vector<int32_t>& subset : subsets) {
-      Result<int64_t> exact = ExactRankRegret2D(ds, subset);
+      Result<int64_t> exact = core::SweepExactRankRegret2D(ds, subset);
       Result<RankRegretCertificate> cert =
           ExactRankRegretWithinK(ds, subset, k);
       ASSERT_TRUE(exact.ok());
@@ -188,9 +189,9 @@ TEST(ExactRankRegretWithinKTest, CrossChecksSampledEstimator) {
   const data::Dataset ds = data::GenerateUniform(15, 3, 35);
   const std::vector<int32_t> subset = {3, 11};
   const size_t k = 3;
-  SampledRankRegretOptions opts;
+  core::SampledRegretOptions opts;
   opts.num_functions = 3000;
-  Result<int64_t> sampled = SampledRankRegret(ds, subset, opts);
+  Result<int64_t> sampled = core::SampledRankRegretEstimate(ds, subset, opts);
   Result<RankRegretCertificate> cert =
       ExactRankRegretWithinK(ds, subset, k);
   ASSERT_TRUE(sampled.ok());
@@ -209,10 +210,10 @@ TEST(ExactRankRegretWithinKTest, RejectsBadArguments) {
 
 TEST(SampledRankRegretTest, RejectsBadArguments) {
   const data::Dataset ds = data::GenerateUniform(10, 3, 6);
-  EXPECT_FALSE(SampledRankRegret(ds, {}).ok());
-  EXPECT_FALSE(SampledRankRegret(ds, {42}).ok());
+  EXPECT_FALSE(core::SampledRankRegretEstimate(ds, {}).ok());
+  EXPECT_FALSE(core::SampledRankRegretEstimate(ds, {42}).ok());
   data::Dataset empty;
-  EXPECT_FALSE(SampledRankRegret(empty, {0}).ok());
+  EXPECT_FALSE(core::SampledRankRegretEstimate(empty, {0}).ok());
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // one bounds the other by a theorem).
 #include <gtest/gtest.h>
 
+#include "core/evaluator.h"
 #include "core/kset_enum2d.h"
 #include "core/kset_graph.h"
 #include "core/kset_sampler.h"
@@ -10,7 +11,6 @@
 #include "core/mdrrr.h"
 #include "core/rrr2d.h"
 #include "data/generators.h"
-#include "eval/rank_regret.h"
 #include "hitting/greedy.h"
 #include "test_util.h"
 
@@ -65,11 +65,11 @@ TEST_P(CrossAlgorithm2DTest, AllAlgorithmsStayWithinTheirRegretBounds) {
     ASSERT_TRUE(mdrrr.ok());
     ASSERT_TRUE(mdrc.ok());
 
-    EXPECT_LE(*eval::ExactRankRegret2D(ds, *rrr2d),
+    EXPECT_LE(*core::SweepExactRankRegret2D(ds, *rrr2d),
               static_cast<int64_t>(2 * k));
-    EXPECT_LE(*eval::ExactRankRegret2D(ds, *mdrrr),
+    EXPECT_LE(*core::SweepExactRankRegret2D(ds, *mdrrr),
               static_cast<int64_t>(k));
-    EXPECT_LE(*eval::ExactRankRegret2D(ds, *mdrc),
+    EXPECT_LE(*core::SweepExactRankRegret2D(ds, *mdrc),
               static_cast<int64_t>(2 * k));
   }
 }
@@ -103,12 +103,12 @@ TEST(CrossAlgorithmMDTest, MdrcAndMdrrrBothCoverSampledFunctions) {
   Result<std::vector<int32_t>> mdrrr = core::SolveMdrrrSampled(ds, k);
   ASSERT_TRUE(mdrc.ok());
   ASSERT_TRUE(mdrrr.ok());
-  eval::SampledRankRegretOptions eval_opts;
+  core::SampledRegretOptions eval_opts;
   eval_opts.num_functions = 2000;
   eval_opts.seed = 4242;
-  EXPECT_LE(*eval::SampledRankRegret(ds, *mdrc, eval_opts),
+  EXPECT_LE(*core::SampledRankRegretEstimate(ds, *mdrc, eval_opts),
             static_cast<int64_t>(4 * k));
-  EXPECT_LE(*eval::SampledRankRegret(ds, *mdrrr, eval_opts),
+  EXPECT_LE(*core::SampledRankRegretEstimate(ds, *mdrrr, eval_opts),
             static_cast<int64_t>(2 * k));
 }
 

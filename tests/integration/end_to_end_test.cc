@@ -5,11 +5,11 @@
 #include <gtest/gtest.h>
 
 #include "baseline/hd_rrms.h"
+#include "core/evaluator.h"
 #include "core/solver.h"
 #include "data/csv.h"
 #include "data/generators.h"
 #include "data/normalize.h"
-#include "eval/rank_regret.h"
 #include "test_util.h"
 
 namespace rrr {
@@ -41,7 +41,7 @@ TEST(EndToEndTest, CsvToRepresentativePipeline) {
   ASSERT_TRUE(res.ok());
   EXPECT_EQ(res->algorithm_used, core::Algorithm::k2dRrr);
   Result<int64_t> regret =
-      eval::ExactRankRegret2D(*normalized, res->representative);
+      core::SweepExactRankRegret2D(*normalized, res->representative);
   ASSERT_TRUE(regret.ok());
   EXPECT_LE(*regret, 4);
   std::remove(path.c_str());
@@ -60,10 +60,10 @@ TEST(EndToEndTest, DotLikeWorkloadAllAlgorithms) {
     ASSERT_TRUE(res.ok()) << core::AlgorithmName(algorithm);
     EXPECT_LE(res->representative.size(), 40u)
         << core::AlgorithmName(algorithm);
-    eval::SampledRankRegretOptions eval_opts;
+    core::SampledRegretOptions eval_opts;
     eval_opts.num_functions = 2000;
     Result<int64_t> regret =
-        eval::SampledRankRegret(ds, res->representative, eval_opts);
+        core::SampledRankRegretEstimate(ds, res->representative, eval_opts);
     ASSERT_TRUE(regret.ok());
     EXPECT_LE(*regret, static_cast<int64_t>(3 * k))
         << core::AlgorithmName(algorithm);
@@ -77,10 +77,10 @@ TEST(EndToEndTest, BnLikeWorkloadWithDualProblem) {
   ASSERT_TRUE(dual.ok());
   EXPECT_LE(dual->representative.size(), 10u);
   // The returned k is honest: measured regret respects the MDRC bound.
-  eval::SampledRankRegretOptions eval_opts;
+  core::SampledRegretOptions eval_opts;
   eval_opts.num_functions = 1500;
   Result<int64_t> regret =
-      eval::SampledRankRegret(ds, dual->representative, eval_opts);
+      core::SampledRankRegretEstimate(ds, dual->representative, eval_opts);
   ASSERT_TRUE(regret.ok());
   EXPECT_LE(*regret, static_cast<int64_t>(3 * dual->k));
 }
@@ -104,12 +104,12 @@ TEST(EndToEndTest, PaperComparisonProtocol) {
   ASSERT_TRUE(hd.ok());
   EXPECT_LE(hd->representative.size(), mdrc->representative.size());
 
-  eval::SampledRankRegretOptions eval_opts;
+  core::SampledRegretOptions eval_opts;
   eval_opts.num_functions = 2000;
   const int64_t mdrc_regret =
-      *eval::SampledRankRegret(ds, mdrc->representative, eval_opts);
+      *core::SampledRankRegretEstimate(ds, mdrc->representative, eval_opts);
   const int64_t hd_regret =
-      *eval::SampledRankRegret(ds, hd->representative, eval_opts);
+      *core::SampledRankRegretEstimate(ds, hd->representative, eval_opts);
   // The paper's qualitative claim: MDRC bounds rank-regret, HD-RRMS does
   // not (its regret lands orders of magnitude higher).
   EXPECT_LE(mdrc_regret, static_cast<int64_t>(3 * k));

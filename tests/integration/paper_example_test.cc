@@ -2,13 +2,13 @@
 // running example (Figures 1-6 and the Section 4/5 walk-throughs).
 #include <gtest/gtest.h>
 
+#include "core/evaluator.h"
 #include "core/find_ranges.h"
 #include "core/kset_enum2d.h"
 #include "core/kset_graph.h"
 #include "core/mdrc.h"
 #include "core/mdrrr.h"
 #include "core/rrr2d.h"
-#include "eval/rank_regret.h"
 #include "geometry/convex_hull.h"
 #include "geometry/dominance.h"
 #include "test_util.h"
@@ -74,7 +74,7 @@ TEST_F(PaperExampleTest, Section4TwoDrrrWalkthrough) {
   ASSERT_TRUE(rep.ok());
   EXPECT_EQ(*rep, (std::vector<int32_t>{0, 2}));  // {t1, t3}
   // And the 2k guarantee holds.
-  Result<int64_t> regret = eval::ExactRankRegret2D(ds_, *rep);
+  Result<int64_t> regret = core::SweepExactRankRegret2D(ds_, *rep);
   ASSERT_TRUE(regret.ok());
   EXPECT_LE(*regret, 4);
 }
@@ -93,9 +93,9 @@ TEST_F(PaperExampleTest, AllThreeAlgorithmsProduceValidRepresentatives) {
   Result<std::vector<int32_t>> mdrc = core::SolveMdrc(ds_, k);
   ASSERT_TRUE(mdrc.ok());
 
-  Result<int64_t> r1 = eval::ExactRankRegret2D(ds_, *rrr2d);
-  Result<int64_t> r2 = eval::ExactRankRegret2D(ds_, *mdrrr);
-  Result<int64_t> r3 = eval::ExactRankRegret2D(ds_, *mdrc);
+  Result<int64_t> r1 = core::SweepExactRankRegret2D(ds_, *rrr2d);
+  Result<int64_t> r2 = core::SweepExactRankRegret2D(ds_, *mdrrr);
+  Result<int64_t> r3 = core::SweepExactRankRegret2D(ds_, *mdrc);
   EXPECT_LE(*r1, 4);  // 2k
   EXPECT_LE(*r2, 2);  // k (exact collection)
   EXPECT_LE(*r3, 4);  // dk

@@ -3,6 +3,7 @@
 // Complements the per-module tests with distribution diversity.
 #include <gtest/gtest.h>
 
+#include "core/evaluator.h"
 #include "core/kset_enum2d.h"
 #include "core/mdrc.h"
 #include "core/mdrrr.h"
@@ -10,7 +11,6 @@
 #include "core/solver.h"
 #include "data/generators.h"
 #include "eval/metrics.h"
-#include "eval/rank_regret.h"
 #include "geometry/dominance.h"
 #include "test_util.h"
 
@@ -75,7 +75,7 @@ TEST_P(PropertyHarness2DTest, AllGuaranteesHoldIn2D) {
   // 2DRRR: regret <= 2k, and size <= |exact k-hitting set|.
   Result<std::vector<int32_t>> rrr2d = core::Solve2dRrr(ds, k);
   ASSERT_TRUE(rrr2d.ok());
-  Result<int64_t> regret_2d = eval::ExactRankRegret2D(ds, *rrr2d);
+  Result<int64_t> regret_2d = core::SweepExactRankRegret2D(ds, *rrr2d);
   ASSERT_TRUE(regret_2d.ok());
   EXPECT_LE(*regret_2d, static_cast<int64_t>(2 * k));
 
@@ -84,14 +84,14 @@ TEST_P(PropertyHarness2DTest, AllGuaranteesHoldIn2D) {
   ASSERT_TRUE(ksets.ok());
   Result<std::vector<int32_t>> mdrrr = core::SolveMdrrr(ds, *ksets);
   ASSERT_TRUE(mdrrr.ok());
-  Result<int64_t> regret_mdrrr = eval::ExactRankRegret2D(ds, *mdrrr);
+  Result<int64_t> regret_mdrrr = core::SweepExactRankRegret2D(ds, *mdrrr);
   ASSERT_TRUE(regret_mdrrr.ok());
   EXPECT_LE(*regret_mdrrr, static_cast<int64_t>(k));
 
   // MDRC: regret <= d*k = 2k.
   Result<std::vector<int32_t>> mdrc = core::SolveMdrc(ds, k);
   ASSERT_TRUE(mdrc.ok());
-  Result<int64_t> regret_mdrc = eval::ExactRankRegret2D(ds, *mdrc);
+  Result<int64_t> regret_mdrc = core::SweepExactRankRegret2D(ds, *mdrc);
   ASSERT_TRUE(regret_mdrc.ok());
   EXPECT_LE(*regret_mdrc, static_cast<int64_t>(2 * k));
 

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "common/random.h"
+#include "core/evaluator.h"
 #include "core/find_ranges.h"
 #include "data/generators.h"
 #include "geometry/angles.h"
@@ -97,7 +98,8 @@ int64_t BruteForceOptimalRrrSize2D(const data::Dataset& dataset, size_t k) {
     const bool found = ForEachSubset(
         candidates, r, &current, 0,
         [&](const std::vector<int32_t>& subset) {
-          Result<int64_t> regret = eval::ExactRankRegret2D(dataset, subset);
+          Result<int64_t> regret =
+              core::SweepExactRankRegret2D(dataset, subset);
           RRR_CHECK(regret.ok()) << regret.status().ToString();
           return *regret <= static_cast<int64_t>(k);
         });

@@ -10,7 +10,6 @@
 #include "common/logging.h"
 #include "data/column_blocks.h"
 #include "data/dataset.h"
-#include "eval/rank_regret.h"
 #include "geometry/vec.h"
 #include "topk/scoring.h"
 

@@ -4,9 +4,8 @@
 // the brute-force row loops return — across dataset families chosen to
 // stress the bounds (duplicates = score ties, constant columns = bounds
 // exactly equal to every value, anti-correlated = adversarially flat score
-// landscape), across derived mirrors whose bounds are stale-but-conservative
-// (masked / appended), across kernel paths and thread counts, and under
-// concurrent scans (the counters are relaxed atomics; TSan runs this file).
+// landscape), across kernel paths and thread counts, and under concurrent
+// scans (the counters are relaxed atomics; TSan runs this file).
 // The pruning may only change which blocks get scored, never what comes
 // out.
 #include <gtest/gtest.h>
@@ -159,13 +158,9 @@ TEST(BlockPruningTest, BoundsCoverEveryLaneAndParallelBuildMatchesSerial) {
         // build produces the same doubles as the serial one.
         EXPECT_EQ(serial.block_max(b)[j], parallel.block_max(b)[j])
             << family.name;
-        EXPECT_EQ(serial.block_min(b)[j], parallel.block_min(b)[j])
-            << family.name;
         const double* col = serial.column(b, j);
         for (size_t lane = 0; lane < serial.block_rows(b); ++lane) {
           EXPECT_GE(serial.block_max(b)[j], col[lane])
-              << family.name << " block " << b << " col " << j;
-          EXPECT_LE(serial.block_min(b)[j], col[lane])
               << family.name << " block " << b << " col " << j;
         }
       }
@@ -181,9 +176,7 @@ TEST(BlockPruningTest, NaNPoisonsBoundsSoPoisonedBlocksAlwaysScan) {
   ASSERT_EQ(blocks.num_blocks(), 1u);
   const double inf = std::numeric_limits<double>::infinity();
   EXPECT_EQ(blocks.block_max(0)[0], inf);
-  EXPECT_EQ(blocks.block_min(0)[0], -inf);
   EXPECT_EQ(blocks.block_max(0)[1], inf);
-  EXPECT_EQ(blocks.block_min(0)[1], -inf);
   const data::Dataset finite = testing::MakeDataset({{0.9, 0.1}, {0.2, 0.3}});
   const std::vector<int32_t> finite_ids = {0, 2};
   for (const LinearFunction& f : ProbeFunctions(2, 229)) {
@@ -202,76 +195,6 @@ TEST(BlockPruningTest, NaNPoisonsBoundsSoPoisonedBlocksAlwaysScan) {
     EXPECT_EQ(stats.blocks_skipped, 0u);
     EXPECT_EQ(MaxScore(blocks, f, &stats), BruteMaxScore(finite, f));
     EXPECT_EQ(stats.blocks_skipped, 0u);
-  }
-}
-
-TEST(BlockPruningTest, MaskedMirrorKeepsStaleBoundsAndMatchesOracles) {
-  for (const Family& family : Families(150, 3, 233)) {
-    std::vector<std::vector<double>> rows;
-    for (size_t i = 0; i < family.data.size(); ++i) {
-      const double* r = family.data.row(i);
-      rows.emplace_back(r, r + 3);
-    }
-    data::ColumnBlocks masked = MustBuild(family.data);
-    // Delete the global top row of axis 0 — the lane that SET block 0's
-    // bound — so the inherited bound goes stale, plus a spread of others.
-    const LinearFunction axis0(geometry::Vec{1.0, 0.0, 0.0});
-    const size_t top =
-        static_cast<size_t>(TopKScan(masked, axis0, 1).front());
-    std::vector<data::Dataset> keep_alive;
-    keep_alive.reserve(4);
-    for (size_t victim : {top, size_t{0}, size_t{80}}) {
-      rows.erase(rows.begin() + static_cast<int64_t>(victim));
-      keep_alive.push_back(testing::MakeDataset(rows));
-      Result<data::ColumnBlocks> next =
-          masked.WithoutRow(&keep_alive.back(), victim);
-      ASSERT_TRUE(next.ok()) << next.status().ToString();
-      masked = std::move(*next);
-    }
-    ASSERT_TRUE(masked.masked());
-    ASSERT_TRUE(masked.has_block_bounds());
-    // Stale is fine — a bound over dead lanes is still an upper bound over
-    // the live ones — and the pruned scans still match the row loops.
-    for (const LinearFunction& f : ProbeFunctions(3, 239)) {
-      ExpectMatchesOracles(masked, f, family.name + "/masked");
-    }
-  }
-}
-
-TEST(BlockPruningTest, AppendedMirrorRecomputesBoundaryAndMatchesOracles) {
-  // 150 base rows = two full tiles + a partial; the appends refill the
-  // partial tile (whose bound must WIDEN to cover the new lanes) and cross
-  // into fresh tiles.
-  for (size_t appended : {size_t{1}, size_t{41}, size_t{107}}) {
-    for (const Family& family : Families(150 + appended, 3, 241)) {
-      std::vector<std::vector<double>> rows;
-      for (size_t i = 0; i < family.data.size(); ++i) {
-        const double* r = family.data.row(i);
-        rows.emplace_back(r, r + 3);
-      }
-      const std::vector<std::vector<double>> base_rows(rows.begin(),
-                                                       rows.begin() + 150);
-      const data::Dataset base_data = testing::MakeDataset(base_rows);
-      const data::ColumnBlocks base = MustBuild(base_data);
-      Result<data::ColumnBlocks> grown =
-          data::ColumnBlocks::BuildAppended(base, family.data);
-      ASSERT_TRUE(grown.ok()) << grown.status().ToString();
-      ASSERT_TRUE(grown->has_block_bounds());
-      // The appended mirror's bounds must cover the appended lanes too —
-      // same invariant the fresh build satisfies by construction.
-      const data::ColumnBlocks fresh = MustBuild(family.data);
-      for (size_t b = 0; b < grown->num_blocks(); ++b) {
-        for (size_t j = 0; j < 3; ++j) {
-          EXPECT_EQ(grown->block_max(b)[j], fresh.block_max(b)[j])
-              << family.name << " appended=" << appended << " block " << b;
-          EXPECT_EQ(grown->block_min(b)[j], fresh.block_min(b)[j])
-              << family.name << " appended=" << appended << " block " << b;
-        }
-      }
-      for (const LinearFunction& f : ProbeFunctions(3, 251)) {
-        ExpectMatchesOracles(*grown, f, family.name + "/appended");
-      }
-    }
   }
 }
 

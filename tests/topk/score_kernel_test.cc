@@ -460,8 +460,8 @@ TEST(ScoreKernelTest, EvalMetricsMatchLegacyLoops) {
 
 /// The CandidateIndex build (row-major sum order) must keep exactly the
 /// rows with fewer than k always-outrankers, counted pair by pair, and its
-/// band-blocked MinRankOfSubset must match the rank oracle — whether the
-/// full-scan fallback is handed the full mirror or builds its own.
+/// band-blocked MinRankOfSubset must match the rank oracle, with or without
+/// the fallback counter.
 TEST(ScoreKernelTest, CandidateIndexMatchesBruteForceOracles) {
   for (const Family& family : Families(300, 3, 103)) {
     const data::ColumnBlocks blocks = MustBuild(family.data);
@@ -495,131 +495,10 @@ TEST(ScoreKernelTest, CandidateIndexMatchesBruteForceOracles) {
       const int64_t want =
           testing::BruteMinRankOfSubset(family.data, f, subset);
       size_t fallbacks = 0;
-      EXPECT_EQ(built->index->MinRankOfSubset(f, subset, &fallbacks, &blocks),
+      EXPECT_EQ(built->index->MinRankOfSubset(f, subset, blocks, &fallbacks),
                 want)
           << family.name;
-      EXPECT_EQ(built->index->MinRankOfSubset(f, subset), want)
-          << family.name;
-    }
-  }
-}
-
-/// Dynamic-layer mirrors: a BuildAppended mirror (base tiles memcpy'd, tail
-/// transposed, including partial last tiles) and a WithoutRow masked mirror
-/// (dead lanes skipped via the validity mask) must be bit-identical to a
-/// FRESH dense mirror of the same rows on every kernel entry point — which
-/// also pins scalar/blocked/SIMD agreement, since each entry point
-/// dispatches the same ScoreBlock on both mirrors.
-TEST(ScoreKernelTest, AppendedMirrorMatchesFreshDenseMirror) {
-  // 150 base rows = two full tiles + a 22-lane partial; appends first fill
-  // the partial tile, then cross into new ones.
-  for (size_t appended : {size_t{1}, size_t{41}, size_t{64}, size_t{107}}) {
-    for (const Family& family : Families(150 + appended, 3, 113)) {
-      std::vector<std::vector<double>> rows;
-      for (size_t i = 0; i < family.data.size(); ++i) {
-        const double* r = family.data.row(i);
-        rows.emplace_back(r, r + 3);
-      }
-      const data::Dataset base_data = testing::MakeDataset(
-          std::vector<std::vector<double>>(rows.begin(), rows.end() - appended));
-      const data::ColumnBlocks base = MustBuild(base_data);
-      Result<data::ColumnBlocks> grown =
-          data::ColumnBlocks::BuildAppended(base, family.data);
-      ASSERT_TRUE(grown.ok()) << grown.status().ToString();
-      const data::ColumnBlocks fresh = MustBuild(family.data);
-      const size_t n = family.data.size();
-      ASSERT_EQ(grown->rows(), n);
-
-      for (const LinearFunction& f : ProbeFunctions(3, 127)) {
-        std::vector<double> got(n);
-        std::vector<double> want(n);
-        ScoreAll(f, *grown, got.data());
-        ScoreAll(f, fresh, want.data());
-        EXPECT_EQ(got, want) << family.name << " appended=" << appended;
-        for (size_t k : {size_t{1}, size_t{7}, n}) {
-          EXPECT_EQ(TopKScan(*grown, f, k), TopKScan(fresh, f, k))
-              << family.name << " k=" << k;
-        }
-        EXPECT_EQ(MaxScore(*grown, f), MaxScore(fresh, f)) << family.name;
-        for (int32_t id : {0, static_cast<int32_t>(n) - 1}) {
-          const double score = f.Score(family.data.row(id));
-          EXPECT_EQ(CountOutranking(*grown, f, score, id),
-                    CountOutranking(fresh, f, score, id))
-              << family.name << " id=" << id;
-        }
-      }
-    }
-  }
-}
-
-TEST(ScoreKernelTest, MaskedMirrorMatchesFreshDenseMirror) {
-  for (const Family& family : Families(150, 3, 131)) {
-    std::vector<std::vector<double>> rows;
-    for (size_t i = 0; i < family.data.size(); ++i) {
-      const double* r = family.data.row(i);
-      rows.emplace_back(r, r + 3);
-    }
-    // Delete a spread of rows one at a time (first lane, mid-tile lanes,
-    // the partial tail), re-masking the surviving mirror at each step.
-    data::ColumnBlocks masked = MustBuild(family.data);
-    std::vector<data::Dataset> keep_alive;  // masked mirrors point at these
-    keep_alive.reserve(8);
-    for (size_t victim : {size_t{0}, size_t{62}, size_t{70}, size_t{100},
-                          size_t{140}, size_t{3}}) {
-      rows.erase(rows.begin() + static_cast<int64_t>(victim));
-      keep_alive.push_back(testing::MakeDataset(rows));
-      Result<data::ColumnBlocks> next =
-          masked.WithoutRow(&keep_alive.back(), victim);
-      ASSERT_TRUE(next.ok()) << next.status().ToString();
-      masked = std::move(*next);
-    }
-    ASSERT_TRUE(masked.masked());
-    const data::Dataset& compacted = keep_alive.back();
-    const data::ColumnBlocks fresh = MustBuild(compacted);
-    const size_t n = compacted.size();
-    ASSERT_EQ(masked.rows(), n);
-
-    for (const LinearFunction& f : ProbeFunctions(3, 137)) {
-      std::vector<double> got(n);
-      std::vector<double> want(n);
-      ScoreAll(f, masked, got.data());
-      ScoreAll(f, fresh, want.data());
-      EXPECT_EQ(got, want) << family.name;
-      for (size_t k : {size_t{1}, size_t{9}, n / 2, n}) {
-        EXPECT_EQ(TopKScan(masked, f, k), TopKScan(fresh, f, k))
-            << family.name << " k=" << k;
-        EXPECT_EQ(TopKScan(masked, f, k), testing::BruteTopK(compacted, f, k))
-            << family.name << " k=" << k;
-      }
-      EXPECT_EQ(MaxScore(masked, f), MaxScore(fresh, f)) << family.name;
-      for (int32_t id : {0, 17, static_cast<int32_t>(n) - 1}) {
-        const double score = f.Score(compacted.row(id));
-        EXPECT_EQ(CountOutranking(masked, f, score, id),
-                  CountOutranking(fresh, f, score, id))
-            << family.name << " id=" << id;
-      }
-    }
-
-    // And appending on top of a masked base keeps the contract: new rows
-    // take the lanes after the (partially dead) base tiles.
-    std::vector<std::vector<double>> grown_rows = rows;
-    const data::Dataset extra = data::GenerateUniform(23, 3, 139);
-    for (size_t i = 0; i < extra.size(); ++i) {
-      const double* r = extra.row(i);
-      grown_rows.emplace_back(r, r + 3);
-    }
-    const data::Dataset grown_data = testing::MakeDataset(grown_rows);
-    Result<data::ColumnBlocks> grown =
-        data::ColumnBlocks::BuildAppended(masked, grown_data);
-    ASSERT_TRUE(grown.ok()) << grown.status().ToString();
-    const data::ColumnBlocks grown_fresh = MustBuild(grown_data);
-    for (const LinearFunction& f : ProbeFunctions(3, 149)) {
-      std::vector<double> got(grown_data.size());
-      std::vector<double> want(grown_data.size());
-      ScoreAll(f, *grown, got.data());
-      ScoreAll(f, grown_fresh, want.data());
-      EXPECT_EQ(got, want) << family.name;
-      EXPECT_EQ(TopKScan(*grown, f, 11), TopKScan(grown_fresh, f, 11))
+      EXPECT_EQ(built->index->MinRankOfSubset(f, subset, blocks), want)
           << family.name;
     }
   }

@@ -2,10 +2,9 @@
 // (best-first) and TopKSetScan (ascending ids) must return exactly what the
 // brute-force oracles testing::BruteTopK / BruteTopKSet return — same ids,
 // same order — for every k around the block size and the buffer's flush
-// points, over dense, masked and appended mirrors (block skip prunes on the
-// mirrors' bounds throughout). Ties (duplicate rows) and zero-weight corner
-// functions are where a selection that bends the (score desc, id asc) order
-// would show.
+// points (block skip prunes on the mirror's bounds throughout). Ties
+// (duplicate rows) and zero-weight corner functions are where a selection
+// that bends the (score desc, id asc) order would show.
 // Score floors (a lower bound on the k-th best score seeding the threshold)
 // must leave both selections unchanged on every kernel tier.
 #include <gtest/gtest.h>
@@ -33,14 +32,6 @@ data::ColumnBlocks MustBuild(const data::Dataset& ds) {
   Result<data::ColumnBlocks> blocks = data::ColumnBlocks::Build(ds, 1);
   RRR_CHECK(blocks.ok()) << blocks.status().ToString();
   return std::move(blocks).value();
-}
-
-std::vector<std::vector<double>> Rows(const data::Dataset& ds) {
-  std::vector<std::vector<double>> rows;
-  for (size_t i = 0; i < ds.size(); ++i) {
-    rows.emplace_back(ds.row(i), ds.row(i) + ds.dims());
-  }
-  return rows;
 }
 
 struct Family {
@@ -119,39 +110,6 @@ void ExpectSelectionsMatch(const data::ColumnBlocks& blocks,
 TEST(TopKSelectTest, DenseMirrorMatchesRowLoop) {
   for (const Family& family : Families(700, 3)) {
     ExpectSelectionsMatch(MustBuild(family.data), family.data, family.name);
-  }
-}
-
-TEST(TopKSelectTest, MaskedMirrorMatchesRowLoop) {
-  for (const Family& family : Families(400, 5)) {
-    std::vector<std::vector<double>> rows = Rows(family.data);
-    data::ColumnBlocks masked = MustBuild(family.data);
-    std::vector<data::Dataset> keep_alive;  // masked mirrors point at these
-    keep_alive.reserve(5);
-    for (size_t victim : {size_t{0}, size_t{63}, size_t{64}, size_t{200},
-                          size_t{390}}) {
-      rows.erase(rows.begin() + static_cast<int64_t>(victim));
-      keep_alive.push_back(testing::MakeDataset(rows));
-      Result<data::ColumnBlocks> next =
-          masked.WithoutRow(&keep_alive.back(), victim);
-      ASSERT_TRUE(next.ok()) << next.status().ToString();
-      masked = std::move(*next);
-    }
-    ASSERT_TRUE(masked.masked());
-    ExpectSelectionsMatch(masked, keep_alive.back(), family.name + " masked");
-  }
-}
-
-TEST(TopKSelectTest, AppendedMirrorMatchesRowLoop) {
-  for (const Family& family : Families(450, 7)) {
-    const std::vector<std::vector<double>> rows = Rows(family.data);
-    const data::Dataset base_data = testing::MakeDataset(
-        std::vector<std::vector<double>>(rows.begin(), rows.end() - 101));
-    const data::ColumnBlocks base = MustBuild(base_data);
-    Result<data::ColumnBlocks> grown =
-        data::ColumnBlocks::BuildAppended(base, family.data);
-    ASSERT_TRUE(grown.ok()) << grown.status().ToString();
-    ExpectSelectionsMatch(*grown, family.data, family.name + " appended");
   }
 }
 
@@ -234,30 +192,6 @@ TEST(TopKFloorTest, FlooredScansMatchUnflooredOnDenseMirrors) {
     bool saw_split_tie = false;
     ExpectFlooredScansMatch(MustBuild(family.data), family.data, family.name,
                             &saw_split_tie);
-    if (family.name == "duplicate-heavy") {
-      EXPECT_TRUE(saw_split_tie) << "no k-th row tied on both sides";
-    }
-  }
-}
-
-TEST(TopKFloorTest, FlooredScansMatchUnflooredOnMaskedMirrors) {
-  for (const Family& family : Families(400, 15)) {
-    std::vector<std::vector<double>> rows = Rows(family.data);
-    data::ColumnBlocks masked = MustBuild(family.data);
-    std::vector<data::Dataset> keep_alive;  // masked mirrors point at these
-    keep_alive.reserve(3);
-    for (size_t victim : {size_t{5}, size_t{64}, size_t{300}}) {
-      rows.erase(rows.begin() + static_cast<int64_t>(victim));
-      keep_alive.push_back(testing::MakeDataset(rows));
-      Result<data::ColumnBlocks> next =
-          masked.WithoutRow(&keep_alive.back(), victim);
-      ASSERT_TRUE(next.ok()) << next.status().ToString();
-      masked = std::move(*next);
-    }
-    ASSERT_TRUE(masked.masked());
-    bool saw_split_tie = false;
-    ExpectFlooredScansMatch(masked, keep_alive.back(),
-                            family.name + " masked", &saw_split_tie);
     if (family.name == "duplicate-heavy") {
       EXPECT_TRUE(saw_split_tie) << "no k-th row tied on both sides";
     }
