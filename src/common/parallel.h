@@ -18,8 +18,8 @@ size_t HardwareConcurrency();
 
 /// Resolves a `threads` option field: 0 means "auto" (hardware concurrency),
 /// any other value is taken literally. Every parallel-capable option struct
-/// in the library uses this convention, so `threads = 1` always selects the
-/// serial path and `threads = 0` scales to the machine.
+/// in the library uses this convention, so `threads = 1` runs the work on
+/// the calling thread alone and `threads = 0` scales to the machine.
 size_t ResolveThreads(size_t threads_option);
 
 /// \brief Fixed set of worker threads draining a shared FIFO task queue.

@@ -100,12 +100,15 @@ Result<CountOutcome> CountWithBudget(const data::Dataset& dataset,
             preempted.load(std::memory_order_relaxed)) {
           return;
         }
-        if (!ctx.CheckPreempted().ok()) {
-          preempted.store(true, std::memory_order_relaxed);
-          return;
-        }
+        // One thread runs all n rows as a single chunk, so the gate is
+        // pumped per row, not only per chunk.
+        PreemptionGate gate(ctx, 16);
         size_t scanned = 0;
         for (size_t pos = begin; pos < end; ++pos) {
+          if (gate.Preempted()) {
+            preempted.store(true, std::memory_order_relaxed);
+            return;
+          }
           out.counts[static_cast<size_t>(order[pos])] =
               CountForRow(dataset, order, pos, n, cap, &scanned);
           if (budget_pairs != 0 && scanned > (budget_pairs >> 4)) {

@@ -44,7 +44,6 @@ std::string Diagnostics::ToString() const {
     out += StrFormat(" skyband{size=%zu rows_saved=%zu}", skyband_size,
                      skyband_scan_rows_saved);
   }
-  if (columnar_kernel) out += " kernel=columnar";
   if (blocks_scanned > 0 || blocks_skipped > 0) {
     out += StrFormat(" blockskip{scanned=%llu skipped=%llu}",
                      static_cast<unsigned long long>(blocks_scanned),
@@ -203,9 +202,6 @@ Result<QueryResult> RrrEngine::RunAlgorithm(const PreparedDataset& prepared,
     case Algorithm::k2dRrr: {
       std::shared_ptr<const CandidateIndex> candidates;
       RRR_ASSIGN_OR_RETURN(candidates, shared_candidates());
-      // With a candidate index the scans run over the band, not the
-      // mirror — report the mirror only when it is what actually scanned.
-      result.diagnostics.columnar_kernel = candidates == nullptr;
       // With an index FindRanges sweeps the index's band; otherwise the
       // prepared full-data sweep (built on first use) replaces the per-call
       // O(n log n) initial sort.
@@ -237,11 +233,6 @@ Result<QueryResult> RrrEngine::RunAlgorithm(const PreparedDataset& prepared,
       result.diagnostics.sampler_ksets = sample->ksets.size();
       result.diagnostics.sampler_from_cache = sample_hit;
       result.diagnostics.reused_prepared_artifacts = sample_hit;
-      // The mirror only feeds the sampler's full-dataset draw path;
-      // SharedKSets skips it when an index supersedes it, and a cached
-      // sample means no scans ran at all.
-      result.diagnostics.columnar_kernel =
-          !sample_hit && candidates == nullptr;
       if (candidates != nullptr) {
         result.diagnostics.skyband_size = candidates->band_size();
         if (!sample_hit) {
@@ -254,9 +245,6 @@ Result<QueryResult> RrrEngine::RunAlgorithm(const PreparedDataset& prepared,
     case Algorithm::kMdRc: {
       std::shared_ptr<const CandidateIndex> candidates;
       RRR_ASSIGN_OR_RETURN(candidates, shared_candidates());
-      // Corner evaluations consult the candidate index first; the mirror
-      // scans only when no index superseded it.
-      result.diagnostics.columnar_kernel = candidates == nullptr;
       MdrcOptions mdrc = defaults.mdrc;
       if (defaults.threads != 0) mdrc.threads = defaults.threads;
       // Cross-query warmth, not intra-solve sibling hits: sibling cells
@@ -453,10 +441,6 @@ Result<EvalReport> RrrEngine::Evaluate(
                                   &eval_stats, &snapshot->column_blocks()));
     report.exact = false;
     report.diagnostics.eval_functions_sampled = sampled.num_functions;
-    // Without an index every rank scan runs on the mirror; with one, only
-    // the certified-past-the-band fallbacks do.
-    report.diagnostics.columnar_kernel =
-        candidates == nullptr || eval_stats.full_scan_fallbacks > 0;
     if (candidates != nullptr) {
       report.diagnostics.skyband_size = candidates->band_size();
       report.diagnostics.skyband_scan_rows_saved =

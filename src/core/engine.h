@@ -61,10 +61,6 @@ struct Diagnostics {
   /// pruned probes x (n - skyband_size). A throughput observability signal
   /// like `seconds`, not part of the deterministic-output contract.
   size_t skyband_scan_rows_saved = 0;
-  /// True when the query's full-dataset scans ran through the prepared
-  /// columnar mirror (topk/score_kernel.h) rather than only the candidate
-  /// index's band. Observability only.
-  bool columnar_kernel = false;
   /// Blocks the query's threshold-driven scans scored / proved skippable
   /// via block-max pruning (topk::ScanStats). Deltas of process-global
   /// counters taken around the query's compute, so concurrent queries

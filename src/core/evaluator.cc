@@ -124,30 +124,10 @@ Result<int64_t> SampledRankRegretEstimate(const data::Dataset& dataset,
     if (fell_back != 0) fallbacks.fetch_add(1, std::memory_order_relaxed);
     return rank;
   };
-  auto record_stats = [&] {
-    if (candidates == nullptr) return;
-    stats->full_scan_fallbacks = fallbacks.load();
-    stats->skyband_scans = options.num_functions - stats->full_scan_fallbacks;
-  };
-
+  // The draws stay serial (one seeded Rng) and the O(n) rank scans fan
+  // out. max() is commutative, so the estimate is identical for every
+  // thread count.
   Rng rng(options.seed);
-  const size_t threads = ResolveThreads(ctx.ThreadsOver(options.threads));
-  if (threads <= 1) {
-    PreemptionGate gate(ctx, 64);
-    int64_t worst = 1;
-    for (size_t s = 0; s < options.num_functions; ++s) {
-      RRR_RETURN_IF_ERROR(gate.Check());
-      topk::LinearFunction f(
-          rng.UnitWeightVector(static_cast<int>(dataset.dims())));
-      worst = std::max(worst, min_rank(f));
-    }
-    record_stats();
-    return worst;
-  }
-
-  // Parallel path: the draws stay serial (one seeded Rng, same sequence as
-  // the serial path) and the O(n) rank scans fan out. max() is commutative,
-  // so the estimate is identical for every thread count.
   std::vector<topk::LinearFunction> funcs;
   funcs.reserve(options.num_functions);
   for (size_t s = 0; s < options.num_functions; ++s) {
@@ -158,14 +138,17 @@ Result<int64_t> SampledRankRegretEstimate(const data::Dataset& dataset,
   Mutex mu;
   std::atomic<bool> preempted{false};
   ParallelForChunked(
-      threads, funcs.size(), 16, [&](size_t begin, size_t end) {
-        if (preempted.load(std::memory_order_relaxed)) return;
-        if (!ctx.CheckPreempted().ok()) {
-          preempted.store(true, std::memory_order_relaxed);
-          return;
-        }
+      ResolveThreads(ctx.ThreadsOver(options.threads)), funcs.size(), 16,
+      [&](size_t begin, size_t end) {
+        // One thread runs the whole range as a single chunk, so the gate
+        // is pumped per function, not only per chunk.
+        PreemptionGate gate(ctx, 64);
         int64_t local = 1;
         for (size_t s = begin; s < end; ++s) {
+          if (gate.Preempted()) {
+            preempted.store(true, std::memory_order_relaxed);
+            return;
+          }
           local = std::max(local, min_rank(funcs[s]));
         }
         MutexLock lock(mu);
@@ -178,7 +161,10 @@ Result<int64_t> SampledRankRegretEstimate(const data::Dataset& dataset,
   }
   int64_t worst = 1;
   for (int64_t w : per_chunk_worst) worst = std::max(worst, w);
-  record_stats();
+  if (candidates != nullptr) {
+    stats->full_scan_fallbacks = fallbacks.load();
+    stats->skyband_scans = options.num_functions - stats->full_scan_fallbacks;
+  }
   return worst;
 }
 

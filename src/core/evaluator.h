@@ -55,7 +55,8 @@ struct SampledRegretStats {
 
 /// \brief Monte-Carlo lower bound on the rank-regret of `subset`: the max
 /// over sampled functions of the subset's best rank (the paper's
-/// measurement protocol for d > 2). `ctx` preempts between scan batches.
+/// measurement protocol for d > 2). `ctx` is checked between rank scans
+/// (the clock every 64 scans on each worker).
 ///
 /// `candidates` (may be null) answers each per-function rank scan over its
 /// k-skyband whenever the rank is <= candidates->k() — the common case for

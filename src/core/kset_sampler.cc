@@ -43,35 +43,15 @@ Result<KSetSampleResult> SampleKSets(const data::Dataset& dataset, size_t k,
   KSetSampleResult out;
   size_t misses = 0;
   const size_t threads = ResolveThreads(ctx.ThreadsOver(options.threads));
-  PreemptionGate gate(ctx, 64);
 
-  if (threads <= 1) {
-    // Serial path: evaluate each draw before deciding whether to stop.
-    while (misses < options.termination_count &&
-           out.samples_drawn < options.max_samples) {
-      RRR_RETURN_IF_ERROR(gate.Check());
-      ++out.samples_drawn;
-      topk::LinearFunction f(
-          rng.UnitWeightVector(static_cast<int>(dataset.dims())));
-      KSet s;
-      s.ids = top_k_set(f);
-      if (out.ksets.Insert(std::move(s))) {
-        misses = 0;
-      } else {
-        ++misses;
-      }
-    }
-    return out;
-  }
-
-  // Parallel path: draw a batch of functions from the single Rng (cheap,
-  // serial — the draw sequence is what determinism rests on), fan the
-  // expensive top-k evaluations out, then replay the results in draw order
-  // against the coupon-collector termination rule. Batch results past the
-  // stopping point are discarded, so the recorded collection matches the
-  // serial path sample for sample.
-  const size_t batch_size = std::min<size_t>(
-      std::max<size_t>(4 * threads, 16), options.termination_count);
+  // Draw a batch of functions from the single Rng (cheap, serial — the
+  // draw sequence is what determinism rests on), fan the expensive top-k
+  // evaluations out, then replay the results in draw order against the
+  // coupon-collector termination rule. Batch results past the stopping
+  // point are discarded, so the recorded collection and samples_drawn are
+  // the same for every thread count.
+  const size_t batch_size =
+      std::min<size_t>(4 * threads, options.termination_count);
   std::vector<topk::LinearFunction> funcs;
   std::vector<std::vector<int32_t>> results;
   while (misses < options.termination_count &&

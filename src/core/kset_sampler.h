@@ -52,8 +52,7 @@ struct KSetSampleResult {
 ///
 /// Fails with InvalidArgument for k == 0 or an empty dataset; returns
 /// Cancelled/DeadlineExceeded (no partial collection) when `ctx` preempts
-/// the draw loop, which is checked between samples (serial) or between
-/// batches (parallel).
+/// the draw loop, which is checked between batches of 4 * threads samples.
 ///
 /// `candidates` (may be null) answers every per-sample top-k with a kernel
 /// scan over its k-skyband mirror (core/candidate_index.h); the sampled

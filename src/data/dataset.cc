@@ -93,13 +93,6 @@ Dataset Dataset::ProjectPrefix(size_t dims) const {
   return std::move(projected).value();
 }
 
-bool Dataset::AllFinite() const {
-  for (double v : cells_) {
-    if (!std::isfinite(v)) return false;
-  }
-  return true;
-}
-
 Status Dataset::CheckFinite() const {
   for (size_t idx = 0; idx < cells_.size(); ++idx) {
     if (!std::isfinite(cells_[idx])) {

@@ -63,14 +63,9 @@ class Dataset {
   /// New dataset with the selected columns, in the given order.
   Result<Dataset> Project(const std::vector<int32_t>& columns) const;
 
-  /// True iff every cell is finite (no NaN/inf). The solvers require finite
-  /// input; NaN scores would silently corrupt every comparison.
-  bool AllFinite() const;
-
   /// OK when every cell is finite; otherwise InvalidArgument naming the
-  /// first offending row/column. Use this at validation boundaries (CSV
-  /// ingest, normalization) where the caller needs to know *where* the NaN
-  /// or infinity came from; AllFinite() is the cheap boolean form.
+  /// first offending row/column. The solvers require finite input: NaN
+  /// scores would silently corrupt every comparison.
   Status CheckFinite() const;
 
  private:

@@ -3,11 +3,13 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/candidate_index.h"
 #include "core/evaluator.h"
 #include "core/find_ranges.h"
 #include "core/kset_graph.h"
@@ -385,6 +387,38 @@ TEST(EnginePreemptionTest, RawEntryPointsHonourPreCancellation) {
             StatusCode::kCancelled);
   EXPECT_EQ(SolveMdrrr(ds3, sample->ksets, {}, expired).status().code(),
             StatusCode::kDeadlineExceeded);
+}
+
+// A deadline that expires mid-run ends the raw entry points at one thread
+// too, where ParallelForChunked runs the whole range as a single chunk:
+// each must pump its gate inside the chunk, not only at chunk starts.
+TEST(EnginePreemptionTest, RawEntryPointsHonourMidRunDeadline) {
+  const data::Dataset ds = data::GenerateAnticorrelated(20000, 4, 1);
+  KSetSamplerOptions sampler;
+  sampler.termination_count = 200000;
+  sampler.max_samples = 200000;
+  SampledRegretOptions sampled;
+  sampled.num_functions = 100000;
+  for (size_t threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ExecContext ctx;
+    ctx.deadline = Deadline::After(0.01);
+    EXPECT_EQ(
+        CandidateIndex::CountAlwaysOutrankers(ds, 400, threads, ctx)
+            .status()
+            .code(),
+        StatusCode::kDeadlineExceeded);
+
+    sampler.threads = threads;
+    ctx.deadline = Deadline::After(0.01);
+    EXPECT_EQ(SampleKSets(ds, 10, sampler, ctx).status().code(),
+              StatusCode::kDeadlineExceeded);
+
+    sampled.threads = threads;
+    ctx.deadline = Deadline::After(0.01);
+    EXPECT_EQ(SampledRankRegretEstimate(ds, {0}, sampled, ctx).status().code(),
+              StatusCode::kDeadlineExceeded);
+  }
 }
 
 TEST(EnginePreemptionTest, MidSolveCancellationStopsLongSampler) {

@@ -204,14 +204,14 @@ TEST_F(CsvTest, QuotedHeaderRoundTrips) {
 }
 
 TEST_F(CsvTest, NanAndInfParseButSolverRejectsThem) {
-  // ParseDouble accepts "nan"/"inf" (strtod semantics); AllFinite is the
+  // ParseDouble accepts "nan"/"inf" (strtod semantics); CheckFinite is the
   // guard that keeps them out of the solvers.
   const std::string path = TempPath("nonfinite.csv");
   WriteFile(path, "x,y\n1,nan\n2,inf\n3,4\n");
   Result<Dataset> ds = ReadCsv(path);
   ASSERT_TRUE(ds.ok());
   EXPECT_EQ(ds->size(), 3u);
-  EXPECT_FALSE(ds->AllFinite());
+  EXPECT_FALSE(ds->CheckFinite().ok());
 }
 
 TEST_F(CsvTest, CustomSeparator) {

@@ -104,14 +104,14 @@ TEST(DatasetTest, ProjectReordersColumns) {
   EXPECT_EQ(p->column_names(), (std::vector<std::string>{"c", "a"}));
 }
 
-TEST(DatasetTest, AllFiniteDetectsNanAndInf) {
-  EXPECT_TRUE(Dataset::FromRows({{1.0, 2.0}})->AllFinite());
+TEST(DatasetTest, CheckFiniteDetectsNanAndInf) {
+  EXPECT_TRUE(Dataset::FromRows({{1.0, 2.0}})->CheckFinite().ok());
   EXPECT_FALSE(
-      Dataset::FromRows({{1.0, std::nan("")}})->AllFinite());
-  EXPECT_FALSE(Dataset::FromRows({{1.0, INFINITY}})->AllFinite());
-  EXPECT_FALSE(Dataset::FromRows({{-INFINITY, 0.0}})->AllFinite());
+      Dataset::FromRows({{1.0, std::nan("")}})->CheckFinite().ok());
+  EXPECT_FALSE(Dataset::FromRows({{1.0, INFINITY}})->CheckFinite().ok());
+  EXPECT_FALSE(Dataset::FromRows({{-INFINITY, 0.0}})->CheckFinite().ok());
   Dataset empty;
-  EXPECT_TRUE(empty.AllFinite());
+  EXPECT_TRUE(empty.CheckFinite().ok());
 }
 
 TEST(DatasetTest, CheckFinitePinpointsTheOffendingCell) {

@@ -5,11 +5,13 @@
 // compile definitions (RRR_LINT_BINARY / RRR_LINT_FIXTURES / RRR_LINT_REPO)
 // so the test works from any build directory.
 
+#include <stdlib.h>
 #include <sys/wait.h>
 
 #include <array>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -173,6 +175,20 @@ TEST(RrrLintFixtures, SwallowedStatusCleanWhenHandledVoidedOrContinued) {
   ExpectClean(LintFixture("src/service/swallowed_status_clean.cc"));
 }
 
+TEST(RrrLintFixtures, UnservedHeaderTripsWhenOnlyTestsAndOwnCcInclude) {
+  ExpectOnlyRule(LintFixture("src/eval/unserved_header_bad.h "
+                             "src/eval/unserved_header_bad.cc "
+                             "tests/eval/unserved_header_bad_test.cc"),
+                 "unserved-header");
+}
+
+TEST(RrrLintFixtures, UnservedHeaderCleanOnceALibraryCallerIncludes) {
+  ExpectClean(LintFixture("src/eval/unserved_header_bad.h "
+                          "src/eval/unserved_header_bad.cc "
+                          "tests/eval/unserved_header_bad_test.cc "
+                          "src/core/unserved_header_clean.cc"));
+}
+
 TEST(RrrLintFixtures, DisableMarkerSuppressesAndIsCounted) {
   const LintRun run = LintFixture("src/core/suppressed_ok.cc");
   EXPECT_EQ(run.exit_code, 0) << run.output;
@@ -212,6 +228,27 @@ TEST(RrrLintFixtures, JsonReportCarriesCounts) {
 TEST(RrrLintTree, RepositoryScansClean) {
   const LintRun run = RunLint("--root=" + std::string(RRR_LINT_REPO));
   EXPECT_EQ(run.exit_code, 0) << run.output;
+}
+
+/// A tree scan sees every tracked file, so a header that nothing includes
+/// at all is unserved too (an explicit file list does not judge it).
+TEST(RrrLintTree, TreeScanFlagsHeaderNothingIncludes) {
+  namespace fs = std::filesystem;
+  std::string dir =
+      (fs::temp_directory_path() / "rrr_lint_tree_XXXXXX").string();
+  ASSERT_NE(mkdtemp(&dir[0]), nullptr);
+  fs::create_directories(dir + "/src/eval");
+  std::ofstream(dir + "/src/eval/orphan.h")
+      << "#ifndef ORPHAN_H_\n#define ORPHAN_H_\nint Orphan();\n#endif\n";
+  const int git = std::system(
+      ("git -C '" + dir + "' init -q && git -C '" + dir + "' add -A")
+          .c_str());
+  const LintRun tree = RunLint("--root=" + dir);
+  const LintRun listed = RunLint("--root=" + dir + " src/eval/orphan.h");
+  fs::remove_all(dir);
+  ASSERT_EQ(git, 0);
+  ExpectOnlyRule(tree, "unserved-header");
+  ExpectClean(listed);
 }
 
 }  // namespace

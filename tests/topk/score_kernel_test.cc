@@ -25,7 +25,6 @@
 #include "core/sweep.h"
 #include "data/column_blocks.h"
 #include "data/generators.h"
-#include "eval/metrics.h"
 #include "eval/rank_regret.h"
 #include "eval/regret_ratio.h"
 #include "topk/rank.h"
@@ -381,7 +380,6 @@ TEST(ScoreKernelTest, EngineMatchesDirectSolvers) {
   query.algorithm = core::Algorithm::kMdRc;
   Result<core::QueryResult> via_engine = (*engine)->Solve(k, query);
   ASSERT_TRUE(via_engine.ok());
-  EXPECT_TRUE(via_engine->diagnostics.columnar_kernel);
   Result<std::vector<int32_t>> direct = core::SolveMdrc(ds, k);
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ(via_engine->representative, *direct);
@@ -396,44 +394,31 @@ TEST(ScoreKernelTest, EngineMatchesDirectSolvers) {
   EXPECT_EQ(report->rank_regret, *direct_regret);
 }
 
-/// eval::Evaluate and eval::SampledRegretRatio route their full scans
-/// through an internally built mirror; their numbers must equal a literal
-/// row-loop re-implementation, draw for draw.
+/// core::SampledRankRegretEstimate and eval::SampledRegretRatio route
+/// their full scans through a columnar mirror; their numbers must equal a
+/// literal row-loop re-implementation, draw for draw, at every thread count.
 TEST(ScoreKernelTest, EvalMetricsMatchLegacyLoops) {
   const data::Dataset ds = data::GenerateUniform(500, 4, 101);
   const std::vector<int32_t> subset =
       testing::BruteTopKSet(ds, LinearFunction(geometry::Vec(4, 1.0)), 10);
 
-  eval::EvaluateOptions options;
-  options.k = 10;
+  // Legacy loop, replayed with the identical Rng draw sequence.
+  core::SampledRegretOptions options;
   options.num_functions = 200;
-  Result<eval::EvaluationReport> report =
-      eval::Evaluate(ds, subset, options);
-  ASSERT_TRUE(report.ok());
-
-  // Legacy loops, replayed with the identical Rng draw sequence.
   Rng rng(options.seed);
-  int64_t rank_regret = 0;
-  double ratio = 0.0;
+  int64_t rank_regret = 1;
   for (size_t s = 0; s < options.num_functions; ++s) {
     const LinearFunction f(rng.UnitWeightVector(4));
     rank_regret =
         std::max(rank_regret, testing::BruteMinRankOfSubset(ds, f, subset));
-    double best_all = 0.0;
-    for (size_t i = 0; i < ds.size(); ++i) {
-      best_all = std::max(best_all, f.Score(ds.row(i)));
-    }
-    if (best_all > 0.0) {
-      double best_subset = 0.0;
-      for (int32_t id : subset) {
-        best_subset =
-            std::max(best_subset, f.Score(ds.row(static_cast<size_t>(id))));
-      }
-      ratio = std::max(ratio, (best_all - best_subset) / best_all);
-    }
   }
-  EXPECT_EQ(report->rank_regret, rank_regret);
-  EXPECT_EQ(report->regret_ratio, ratio);
+  for (size_t threads : {1, 4}) {
+    options.threads = threads;
+    Result<int64_t> estimate =
+        core::SampledRankRegretEstimate(ds, subset, options);
+    ASSERT_TRUE(estimate.ok());
+    EXPECT_EQ(*estimate, rank_regret) << "threads=" << threads;
+  }
 
   eval::RegretRatioOptions rr_options;
   rr_options.num_functions = 200;

@@ -37,6 +37,11 @@
 //                           with the value discarded on the floor — handle
 //                           it, propagate it, or cast to (void) with a
 //                           comment saying why failure is ignorable.
+//   unserved-header         a src/**/*.h that no file outside tests/ includes,
+//                           apart from its own .cc — library surface nothing
+//                           serves — outside the audited allowlist. With an
+//                           explicit file list, only headers some listed
+//                           file includes are judged.
 //   bad-suppression         a `rrr-lint: disable(...)` marker without a
 //                           reason= clause.
 //
@@ -235,7 +240,10 @@ void StripHash(FileText* file) {
 
 class Linter {
  public:
-  explicit Linter(std::string root) : root_(std::move(root)) {}
+  /// `whole_tree`: the scan covers every tracked file, so a header with no
+  /// includers at all is evidence that nothing serves it.
+  Linter(std::string root, bool whole_tree)
+      : root_(std::move(root)), whole_tree_(whole_tree) {}
 
   void Scan(const std::string& rel_path);
   void Finish();
@@ -261,6 +269,7 @@ class Linter {
   /// Whole-corpus rule (runs in Finish): needs every scanned file's
   /// declarations before any file's call sites can be judged.
   void CheckSwallowedStatus();
+  void CheckUnservedHeaders();
 
   /// Matches braces from the first '{' at or after (start_line, start_col)
   /// in code text; returns the 0-based line of the closing brace, or
@@ -268,6 +277,7 @@ class Linter {
   static size_t MatchBraces(const FileText& file, size_t start_line);
 
   std::string root_;
+  bool whole_tree_;
   std::vector<FileText> files_;  // retained for whole-corpus rules
   std::vector<Violation> violations_;
   std::vector<Suppression> suppressions_;
@@ -661,6 +671,60 @@ void Linter::CheckSwallowedStatus() {
 }
 
 // ---------------------------------------------------------------------------
+// Rule: unserved-header
+// ---------------------------------------------------------------------------
+
+/// Library headers only tests may include, each with the audit note that
+/// justifies keeping it.
+const std::pair<const char*, const char*> kUnservedAllowlist[] = {
+    {"src/eval/rank_regret.h",
+     "the exact oracle the Theorem 6 tests check the solvers against"},
+};
+
+void Linter::CheckUnservedHeaders() {
+  // Header path (relative to the scan root) -> files that include it.
+  // Library includes are written relative to src/.
+  static const std::regex kInclude(R"re(^\s*#\s*include\s*"([^"]+)")re");
+  std::map<std::string, std::vector<std::string>> includers;
+  for (const FileText& file : files_) {
+    if (!IsCppFile(file.path)) continue;
+    for (size_t li = 0; li < file.code.size(); ++li) {
+      // The stripped line keeps the directive only when it is live code.
+      const size_t first = file.code[li].find_first_not_of(" \t");
+      if (first == std::string::npos || file.code[li][first] != '#') continue;
+      std::smatch m;
+      if (std::regex_search(file.raw[li], m, kInclude)) {
+        includers["src/" + m[1].str()].push_back(file.path);
+      }
+    }
+  }
+  for (const FileText& file : files_) {
+    if (!StartsWith(file.path, "src/") || !EndsWith(file.path, ".h")) continue;
+    bool allowed = false;
+    for (const auto& allow : kUnservedAllowlist) {
+      allowed = allowed || file.path == allow.first;
+    }
+    // An explicit file list holds no evidence about a header's missing
+    // includers, so there a header nothing includes is not judged.
+    const std::vector<std::string>& by = includers[file.path];
+    if (allowed || (by.empty() && !whole_tree_)) continue;
+    const std::string own_cc =
+        file.path.substr(0, file.path.size() - 2) + ".cc";
+    bool served = false;
+    for (const std::string& includer : by) {
+      served = served ||
+               (!StartsWith(includer, "tests/") && includer != own_cc);
+    }
+    if (!served) {
+      Report(file, "unserved-header", 1,
+             "header is included only by tests and its own .cc: delete it "
+             "with its tests, give it a caller, or add it to the audited "
+             "allowlist with a reason");
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Rule: bad-suppression
 // ---------------------------------------------------------------------------
 
@@ -709,6 +773,7 @@ void Linter::Scan(const std::string& rel_path) {
 
 void Linter::Finish() {
   CheckSwallowedStatus();
+  CheckUnservedHeaders();
   std::sort(violations_.begin(), violations_.end(),
             [](const Violation& a, const Violation& b) {
               return std::tie(a.file, a.line, a.rule) <
@@ -822,7 +887,8 @@ int main(int argc, char** argv) {
       files.push_back(arg);
     }
   }
-  if (files.empty()) {
+  const bool whole_tree = files.empty();
+  if (whole_tree) {
     files = GitTrackedFiles(root);
     if (files.empty()) {
       std::cerr << "rrr_lint: no files (is " << root
@@ -831,7 +897,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  Linter linter(root);
+  Linter linter(root, whole_tree);
   for (const std::string& f : files) linter.Scan(f);
   linter.Finish();
 
